@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .events import CONTAINS, FOLLOWS, OVERLAPS
+from .events import relation
 from .hlh import HLH1, EventEntry, GroupEntry, HLHk, Pattern
 from .seasonal import STPMParams, SeasonalVerdict, evaluate_seasonality, is_candidate
 from .sequences import DSeq
@@ -60,69 +60,31 @@ def build_event_supports(dseq: DSeq) -> HLH1:
     """One scan of D_SEQ: support set + representative instance per event."""
     hlh = HLH1()
     for h, insts in dseq.rows.items():
-        for inst in insts:  # already in canonical order
-            hlh.add(h, inst)
+        for pos, inst in enumerate(insts):  # already in canonical order
+            hlh.add(h, pos, inst)
     return hlh
 
 
-class _RelationIndex:
-    """Per-granule relation triples over representative intervals.
-
-    Semantically identical to :func:`repro.core.events.pair_relation` on
-    the representative instances (the equivalence is pinned by the
-    brute-force tests), but works on plain int tuples so the k=2 scan
-    stays cheap; k >= 3 reads its triples from HLH_2's GH table instead
-    of calling back here.
-    """
-
-    __slots__ = ("ivals", "epsilon", "d_o")
-
-    def __init__(self, hlh1: HLH1, params: STPMParams):
-        self.ivals: dict[int, dict[str, tuple[int, int]]] = {}
-        for ev, entry in hlh1.events.items():
-            for h, inst in entry.instance.items():
-                self.ivals.setdefault(h, {})[ev] = (inst.start, inst.end)
-        self.epsilon = params.epsilon
-        self.d_o = params.d_o
-
-    def triple(self, h: int, ev_a: str, ev_b: str) -> tuple[str, str, str] | None:
-        """Relation triple of two events at granule ``h`` (``ev_a < ev_b``)."""
-        iv = self.ivals.get(h)
-        if iv is None:
-            return None
-        a = iv.get(ev_a)
-        b = iv.get(ev_b)
-        if a is None or b is None:
-            return None
-        sa, ea = a
-        sb, eb = b
-        # canonical order: start asc, end desc, event key asc
-        if (sa, -ea, ev_a) > (sb, -eb, ev_b):
-            sa, ea, sb, eb = sb, eb, sa, ea
-            first, second = ev_b, ev_a
-        else:
-            first, second = ev_a, ev_b
-        eps, d_o = self.epsilon, self.d_o
-        if sa <= sb and eb <= ea + eps:
-            return (CONTAINS, first, second)
-        if sb >= ea + 1 - eps:
-            return (FOLLOWS, first, second)
-        if sa < sb and ea < eb and (ea - sb + 1) >= d_o - eps:
-            return (OVERLAPS, first, second)
-        return None
-
-
 def _pair_patterns(
-    a: EventEntry, b: EventEntry, sup: set[int], rels: _RelationIndex
+    a: EventEntry, b: EventEntry, sup: set[int], params: STPMParams
 ) -> GroupEntry:
-    """Verify the relation of two events in every shared granule."""
-    ev_a, ev_b = sorted((a.event, b.event))
-    entry = GroupEntry(events=(ev_a, ev_b), sup=sup)
+    """Verify the relation of two events in every shared granule.
+
+    The representative that comes first in the granule's D_SEQ row is
+    the relation's first event, as in :func:`repro.core.events.pair_relation`.
+    """
+    entry = GroupEntry(events=tuple(sorted((a.event, b.event))), sup=sup)
+    eps, d_o = params.epsilon, params.d_o
     for h in sup:
-        t = rels.triple(h, ev_a, ev_b)
-        if t is None:
+        pa, sa, ea = a.span[h]
+        pb, sb, eb = b.span[h]
+        if pa < pb:
+            rel, first, second = relation(sa, ea, sb, eb, eps, d_o), a.event, b.event
+        else:
+            rel, first, second = relation(sb, eb, sa, ea, eps, d_o), b.event, a.event
+        if rel is None:
             continue
-        pattern: Pattern = (t,)
+        pattern: Pattern = ((rel, first, second),)
         entry.patterns.setdefault(pattern, set()).add(h)
         entry.pattern_at[h] = pattern
     return entry
@@ -179,7 +141,6 @@ def mine(
         return res
 
     # ---- Step 2.2, k = 2 (Section 4.2.1) ----
-    rels = _RelationIndex(hlh1, params)
     hlh2 = HLHk(k=2)
     considered = 0
     for ev_a, ev_b in combinations(sorted(hlh1.events), 2):
@@ -192,7 +153,7 @@ def mine(
         sup = a.sup & b.sup
         if apriori and not is_candidate(len(sup), params):
             continue
-        entry = _pair_patterns(a, b, sup, rels)
+        entry = _pair_patterns(a, b, sup, params)
         _gate_patterns(entry, params, apriori)
         if entry.patterns:
             hlh2.groups[entry.events] = entry

@@ -63,25 +63,33 @@ def canonical_sort_key(inst: EventInstance) -> tuple:
     return (inst.start, -inst.end, inst.series, inst.symbol)
 
 
+def relation(
+    sa: int, ea: int, sb: int, eb: int, epsilon: int = 0, d_o: int = 1
+) -> str | None:
+    """Table III relation of span ``[sa, ea]`` (canonically first) to ``[sb, eb]``.
+
+    Conditions (inclusive intervals, buffer epsilon, minimal overlap d_o):
+
+    * Contains: ``sa <= sb`` and ``eb <= ea + epsilon``
+    * Follows:  ``sb >= ea + 1 - epsilon``
+    * Overlaps: ``sa < sb`` and ``ea < eb`` and
+      ``overlap_len = ea - sb + 1 >= d_o - epsilon``
+    """
+    if sa <= sb and eb <= ea + epsilon:
+        return CONTAINS
+    if sb >= ea + 1 - epsilon:
+        return FOLLOWS
+    if sa < sb and ea < eb and (ea - sb + 1) >= d_o - epsilon:
+        return OVERLAPS
+    return None
+
+
 def classify(a: EventInstance, b: EventInstance, *, epsilon: int = 0, d_o: int = 1) -> str | None:
     """Relation of ``a`` (canonically first) to ``b``, or None.
 
     Preconditions: ``canonical_sort_key(a) <= canonical_sort_key(b)``.
-
-    Conditions (inclusive intervals, Table III with buffer epsilon):
-
-    * Contains: ``a.start <= b.start`` and ``b.end <= a.end + epsilon``
-    * Follows:  ``b.start >= a.end + 1 - epsilon``
-    * Overlaps: ``a.start < b.start`` and ``a.end < b.end`` and
-      ``overlap_len = a.end - b.start + 1 >= d_o - epsilon``
     """
-    if a.start <= b.start and b.end <= a.end + epsilon:
-        return CONTAINS
-    if b.start >= a.end + 1 - epsilon:
-        return FOLLOWS
-    if a.start < b.start and a.end < b.end and (a.end - b.start + 1) >= d_o - epsilon:
-        return OVERLAPS
-    return None
+    return relation(a.start, a.end, b.start, b.end, epsilon, d_o)
 
 
 def pair_relation(
@@ -89,7 +97,7 @@ def pair_relation(
 ) -> tuple[str, EventInstance, EventInstance] | None:
     """Order two instances canonically and classify; ``(rel, first, second)``."""
     a, b = sorted((x, y), key=canonical_sort_key)
-    rel = classify(a, b, epsilon=epsilon, d_o=d_o)
+    rel = relation(a.start, a.end, b.start, b.end, epsilon, d_o)
     if rel is None:
         return None
     return rel, a, b

@@ -30,20 +30,24 @@ class EventEntry:
 
     event: str
     sup: set[int] = field(default_factory=set)
-    #: representative (canonically first) instance per granule
-    instance: dict[int, EventInstance] = field(default_factory=dict)
+    #: representative (canonically first) instance per granule, as
+    #: ``(position in the D_SEQ row, start, end)``
+    span: dict[int, tuple[int, int, int]] = field(default_factory=dict)
 
 
 @dataclass
 class HLH1:
     events: dict[str, EventEntry] = field(default_factory=dict)
 
-    def add(self, h: int, inst: EventInstance) -> None:
+    def add(self, h: int, pos: int, inst: EventInstance) -> None:
+        """Record ``inst``, found at ``dseq.rows[h][pos]``."""
         e = self.events.setdefault(inst.event, EventEntry(inst.event))
         e.sup.add(h)
-        # canonical order within a granule is already sorted upstream, so
-        # the first add per (event, granule) is the representative
-        e.instance.setdefault(h, inst)
+        # rows are in canonical order, so the first add per (event,
+        # granule) is the representative, and row positions order any
+        # two representatives exactly as ``canonical_sort_key`` does
+        if h not in e.span:
+            e.span[h] = (pos, inst.start, inst.end)
 
     def __contains__(self, event: str) -> bool:
         return event in self.events

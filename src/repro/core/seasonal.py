@@ -38,10 +38,16 @@ class STPMParams:
             raise ValueError("max_period must be >= 1")
         if self.min_density < 1:
             raise ValueError("min_density must be >= 1")
+        if self.dist_min < 0:
+            raise ValueError("dist_min must be >= 0")
         if self.dist_min > self.dist_max:
             raise ValueError("dist_min > dist_max")
         if self.min_season < 1:
             raise ValueError("min_season must be >= 1")
+        if self.epsilon < 0:
+            raise ValueError("epsilon must be >= 0")
+        if self.d_o < 1:
+            raise ValueError("d_o must be >= 1")
         if self.max_k < 1:
             raise ValueError("max_k must be >= 1")
 

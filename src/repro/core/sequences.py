@@ -82,31 +82,25 @@ def build_dseq(
         raise ValueError(f"m must be >= 1, got {m}")
     n_fine = max((len(s) for s in symbolic.values()), default=0)
     n_granules = (n_fine + m - 1) // m
-    rows: dict[int, list[EventInstance]] = {}
-    for series in sorted(symbolic):
-        syms = symbolic[series]
-        for h in range(n_granules):
-            block = syms[h * m : (h + 1) * m]
-            if not block:
-                continue
-            insts = [
-                i
-                for i in rle_instances(series, block, t0=h * m)
-                if i.symbol not in ignore_symbols
-            ]
-            if insts:
-                rows.setdefault(h, []).extend(insts)
-    for h in rows:
-        rows[h].sort(key=canonical_sort_key)
-    return DSeq(n_granules=n_granules, rows=rows)
+    instances = (
+        inst
+        for series in sorted(symbolic)
+        for h in range(n_granules)
+        for inst in rle_instances(
+            series, symbolic[series][h * m : (h + 1) * m], t0=h * m
+        )
+        if inst.symbol not in ignore_symbols
+    )
+    return build_dseq_from_instances(instances, m, n_granules)
 
 
 def build_dseq_from_instances(
     instances: Iterable[EventInstance], m: int, n_granules: int
 ) -> DSeq:
-    """Assemble a DSeq from pre-extracted instances (the Spark path).
+    """Assemble a DSeq from event instances (``build_dseq``, the Spark path).
 
-    Each instance must lie inside a single coarse granule
+    Indexes every instance by its coarse granule and puts each row in
+    canonical order. Each instance must lie inside a single coarse granule
     (``start // m == end // m``); Phase-1 extraction guarantees this
     because runs are delimited per granule.
     """

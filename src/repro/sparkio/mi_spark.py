@@ -3,17 +3,18 @@
 The joint symbol distribution of every series pair is a self-join on
 ``(group, t)`` followed by a count aggregation — all shuffle-side work.
 The (tiny) per-pair NMI finalization happens on the driver with the
-same formulas as :mod:`repro.core.mi`, so the two paths can be diffed in
-tests, and the joint-count DataFrame itself is oracle-checked against
-DuckDB SQL.
+same kernel as :func:`repro.core.mi.pair_min_nmis`, so the two paths
+can be diffed in tests, and the joint-count DataFrame itself is
+oracle-checked against DuckDB SQL.
 """
 from __future__ import annotations
 
+import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from ..core.mi import entropy
+from ..core.mi import nmi_from_joint_counts
 
 
 def pair_joint_counts(sym_df: DataFrame) -> DataFrame:
@@ -38,36 +39,17 @@ def nmi_table(sym_df: DataFrame) -> pd.DataFrame:
     """Per-pair NMI in both directions, finalized on the driver.
 
     Returns a pandas frame ``(group, sx, sy, nmi_xy, nmi_yx, min_nmi)``.
-    The driver-side reduction is O(pairs * alphabet^2) — trivial next to
-    the joint-count shuffle.
+    The driver-side reduction is one :func:`nmi_from_joint_counts` call
+    over a ``(pairs, |X|, |Y|)`` count array — trivial next to the
+    joint-count shuffle.
     """
     counts = pair_joint_counts(sym_df).toPandas()
-    rows = []
-    for (group, sx, sy), sub in counts.groupby(["group", "sx", "sy"]):
-        total = sub["n"].sum()
-        joint = {
-            (r.symx, r.symy): r.n / total for r in sub.itertuples(index=False)
-        }
-        px: dict[str, float] = {}
-        py: dict[str, float] = {}
-        for (x, y), p in joint.items():
-            px[x] = px.get(x, 0.0) + p
-            py[y] = py.get(y, 0.0) + p
-        import math
-
-        mi = sum(
-            p * math.log2(p / (px[x] * py[y])) for (x, y), p in joint.items() if p > 0
-        )
-        mi = max(0.0, mi)
-        hx, hy = entropy(px), entropy(py)
-        nmi_xy = min(1.0, mi / hx) if hx > 0 else 0.0
-        nmi_yx = min(1.0, mi / hy) if hy > 0 else 0.0
-        rows.append(
-            dict(
-                group=group, sx=sx, sy=sy,
-                nmi_xy=nmi_xy, nmi_yx=nmi_yx, min_nmi=min(nmi_xy, nmi_yx),
-            )
-        )
-    return pd.DataFrame(
-        rows, columns=["group", "sx", "sy", "nmi_xy", "nmi_yx", "min_nmi"]
-    )
+    pairs = counts.groupby(["group", "sx", "sy"])
+    out = pairs.size().index.to_frame(index=False)
+    x, x_levels = pd.factorize(counts["symx"])
+    y, y_levels = pd.factorize(counts["symy"])
+    joint = np.zeros((len(out), len(x_levels), len(y_levels)))
+    joint[pairs.ngroup().to_numpy(), x, y] = counts["n"].to_numpy()
+    out["nmi_xy"], out["nmi_yx"] = nmi_from_joint_counts(joint)
+    out["min_nmi"] = np.minimum(out["nmi_xy"], out["nmi_yx"])
+    return out

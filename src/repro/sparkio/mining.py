@@ -16,13 +16,13 @@ import json
 from typing import Iterable
 
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import DataFrame
 from pyspark.sql import types as T
 
 from ..core.astpm import mine_approx
 from ..core.estpm import MiningResult, mine
 from ..core.seasonal import STPMParams
-from ..core.sequences import DSeq, build_dseq
+from ..core.sequences import build_dseq
 from ..baseline.aps import mine_aps
 
 RESULT_SCHEMA = T.StructType(
@@ -83,10 +83,6 @@ def _symbols_from_pdf(pdf: pd.DataFrame) -> dict[str, list[str]]:
     return out
 
 
-def _dseq_for(symbols: dict[str, list[str]], m: int, ignore_symbols: frozenset) -> DSeq:
-    return build_dseq(symbols, m, ignore_symbols=ignore_symbols)
-
-
 def mine_groups(
     sym_df: DataFrame,
     params: STPMParams,
@@ -104,7 +100,7 @@ def mine_groups(
     def fn(pdf: pd.DataFrame) -> pd.DataFrame:
         group = int(pdf["group"].iloc[0])
         symbols = _symbols_from_pdf(pdf)
-        dseq = _dseq_for(symbols, m, ignore_symbols)
+        dseq = build_dseq(symbols, m, ignore_symbols=ignore_symbols)
         if miner == "estpm":
             res = mine(dseq, params, apriori=apriori, transitivity=transitivity)
         elif miner == "astpm":
@@ -131,7 +127,7 @@ def screen_stats(
     def fn(pdf: pd.DataFrame) -> pd.DataFrame:
         group = int(pdf["group"].iloc[0])
         symbols = _symbols_from_pdf(pdf)
-        dseq = _dseq_for(symbols, m, ignore_symbols)
+        dseq = build_dseq(symbols, m, ignore_symbols=ignore_symbols)
         approx = mine_approx(symbols, dseq, params.with_(max_k=1))
         rep = approx.screening
         return pd.DataFrame(
@@ -147,8 +143,3 @@ def screen_stats(
         )
 
     return sym_df.groupBy("group").applyInPandas(fn, SCREEN_SCHEMA)
-
-
-def symbols_df_from_pandas(spark: SparkSession, pdf: pd.DataFrame) -> DataFrame:
-    """Helper: lift a long-format pandas symbols frame into Spark."""
-    return spark.createDataFrame(pdf)

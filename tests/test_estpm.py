@@ -9,6 +9,7 @@ import random
 
 import pytest
 
+from repro.baseline.aps import mine_aps
 from repro.core.brute import mine_brute
 from repro.core.estpm import mine
 from repro.core.seasonal import STPMParams
@@ -49,6 +50,28 @@ def seasonal_symbolic(seed: int, n_series=4, n_granules=60, m=4) -> dict:
     return out
 
 
+def tie_symbolic(n_granules=72, m=4) -> dict:
+    """Series ``x4``/``x40``/``x43``: equal spans in even active granules,
+    strictly ordered spans in odd ones, 12-granule seasons.
+
+    ``"x4" < "x40"`` as series names but ``"x40:1" < "x4:1"`` as event
+    keys, so an equal-span tie broken on the key string would name the
+    container differently from the canonical instance order.
+    """
+    spans = {
+        0: {"x4": (1, 2), "x40": (1, 2), "x43": (1, 2)},
+        1: {"x43": (0, 1), "x4": (1, 3), "x40": (2, 2)},
+    }
+    out = {s: [] for s in ("x4", "x40", "x43")}
+    for h in range(n_granules):
+        for s, syms in out.items():
+            span = spans[h % 2][s] if h % 12 < 4 else None
+            syms.extend(
+                "1" if span and span[0] <= t <= span[1] else "0" for t in range(m)
+            )
+    return out
+
+
 @pytest.mark.parametrize("cfg", PRUNE_CONFIGS)
 def test_all_prune_configs_match_brute_on_example(cfg):
     dseq = example_dseq()
@@ -86,6 +109,23 @@ def test_prune_configs_match_brute_seasonal(seed, cfg):
     b_singles, b_patterns = mine_brute(dseq, params)
     res = mine(dseq, params, **cfg)
     assert set(res.patterns) == set(b_patterns)
+
+
+@pytest.mark.parametrize("cfg", PRUNE_CONFIGS)
+def test_prune_configs_match_brute_and_aps_on_ties(cfg):
+    """Equal-span ties order by ``canonical_sort_key`` in every miner."""
+    dseq = build_dseq(tie_symbolic(), m=4, ignore_symbols={"0"})
+    params = STPMParams(
+        max_period=2, min_density=2, dist_min=4, dist_max=12, min_season=3, max_k=3
+    )
+    b_singles, b_patterns = mine_brute(dseq, params)
+    assert any(len(p) == 3 for p in b_patterns)  # the input exercises k = 3
+    res = mine(dseq, params, **cfg)
+    assert set(res.singles) == set(b_singles)
+    assert set(res.patterns) == set(b_patterns)
+    for p, v in res.patterns.items():
+        assert v.sup == b_patterns[p].sup
+    assert set(res.patterns) == set(mine_aps(dseq, params).patterns)
 
 
 @pytest.mark.parametrize("eps,d_o", [(1, 1), (0, 2), (1, 2)])

@@ -15,8 +15,22 @@ from repro.core.mi import (
     mu_series_pair,
     mutual_information,
     nmi,
+    pair_min_nmis,
     probabilities,
 )
+
+
+@st.composite
+def symbolic_dbs(draw):
+    """2-6 aligned series, each over its own alphabet of 1-5 symbols."""
+    n = draw(st.integers(1, 40))
+    out = {}
+    for i in range(draw(st.integers(2, 6))):
+        alphabet = draw(
+            st.lists(st.sampled_from("abcdefgh"), min_size=1, max_size=5, unique=True)
+        )
+        out[f"s{i}"] = draw(st.lists(st.sampled_from(alphabet), min_size=n, max_size=n))
+    return out
 
 
 class TestProbabilities:
@@ -84,6 +98,23 @@ class TestMutualInformation:
         xs = [rng.choice("012") for _ in range(200)]
         ys = [rng.choice("01") for _ in range(200)]
         assert 0.0 <= nmi(xs, ys) <= 1.0
+
+
+class TestPairMinNMIs:
+    @given(symbolic_dbs())
+    def test_matches_scalar_oracle(self, sym):
+        got = pair_min_nmis(sym)
+        names = sorted(sym)
+        assert len(got) == len(names) * (len(names) - 1) // 2
+        for i, a in enumerate(names):
+            for b in names[i + 1 :]:
+                want = min(nmi(sym[a], sym[b]), nmi(sym[b], sym[a]))
+                assert got[frozenset((a, b))] == pytest.approx(want, abs=1e-12)
+
+    def test_unequal_lengths_name_the_series(self):
+        sym = {"a": list("0101"), "b": list("0101"), "short": list("010")}
+        with pytest.raises(ValueError, match="short"):
+            pair_min_nmis(sym)
 
 
 class TestLambertW:

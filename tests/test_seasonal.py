@@ -124,6 +124,12 @@ class TestParams:
             STPMParams(max_period=1, min_density=1, dist_min=3, dist_max=2, min_season=1)
         with pytest.raises(ValueError):
             STPMParams(max_period=1, min_density=1, dist_min=1, dist_max=2, min_season=0)
+        with pytest.raises(ValueError):
+            STPMParams(max_period=1, min_density=1, dist_min=-1, dist_max=2, min_season=1)
+        with pytest.raises(ValueError):
+            P.with_(epsilon=-1)
+        with pytest.raises(ValueError):
+            P.with_(d_o=0)
 
     def test_with_(self):
         assert P.with_(min_season=5).min_season == 5
