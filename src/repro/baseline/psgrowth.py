@@ -18,7 +18,6 @@ from .pstree import build_tree
 def _recurse(
     tree,
     suffix: tuple[str, ...],
-    suffix_tids: frozenset[int] | None,
     out: dict[tuple[str, ...], tuple[int, ...]],
     *,
     min_count: float,
@@ -26,13 +25,13 @@ def _recurse(
     max_k: int,
 ) -> None:
     # least-frequent-first: reversed header insertion order approximates
-    # the classic bottom-up traversal (header preserves global order)
+    # the classic bottom-up traversal (header preserves global order).
+    # A conditional tree is built from its suffix's own tids only, so its
+    # tid sets are already those of the extended itemset.
     for item in reversed(list(tree.header)):
         tids: set[int] = set()
         for node in tree.item_nodes(item):
             tids.update(node.tids)
-        if suffix_tids is not None:
-            tids &= suffix_tids
         if len(tids) < min_count:
             continue
         itemset = tuple(sorted(suffix + (item,)))
@@ -43,9 +42,8 @@ def _recurse(
         base = tree.prefix_paths(item)
         cond_counts: dict[str, set[int]] = {}
         for path, path_tids in base:
-            keep = set(path_tids) if suffix_tids is None else set(path_tids) & suffix_tids
             for it in path:
-                cond_counts.setdefault(it, set()).update(keep)
+                cond_counts.setdefault(it, set()).update(path_tids)
         cond_items = {
             it for it, t in cond_counts.items() if len(t) >= min_count
         }
@@ -58,13 +56,11 @@ def _recurse(
             if not items:
                 continue
             for tid in path_tids:
-                if suffix_tids is None or tid in suffix_tids:
-                    cond_txns.setdefault(tid, []).extend(items)
+                cond_txns.setdefault(tid, []).extend(items)
         cond_tree = build_tree(cond_txns, order, max_period)
         _recurse(
             cond_tree,
             itemset,
-            frozenset(tids),
             out,
             min_count=min_count,
             max_period=max_period,
@@ -101,7 +97,6 @@ def ps_growth(
     _recurse(
         tree,
         (),
-        None,
         out,
         min_count=min_count,
         max_period=max_period,

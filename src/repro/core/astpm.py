@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Mapping, Sequence
 
-from .estpm import MiningResult, mine
+from .estpm import MiningResult, build_event_supports, mine
 from .mi import mu_series_pair, pair_min_nmis, probabilities
-from .seasonal import STPMParams
+from .seasonal import STPMParams, is_candidate
 from .sequences import DSeq
 
 
@@ -78,7 +78,6 @@ class ApproxResult:
 
     mining: MiningResult
     screening: CorrelationReport
-    pct_events_pruned: float
 
 
 def mine_approx(
@@ -100,25 +99,26 @@ def mine_approx(
         allowed_pairs=rep.correlated_pairs,
         restrict_series=rep.kept_series,
     )
-    # events pruned = candidate events whose series was screened out. The
-    # denominator uses a lenient seasonal gate (minSeason floored at 4):
-    # it measures how much of the *potential* single-event search space
-    # the MI screen removes, independent of how strict this particular
-    # configuration's own maxSeason gate already is (the paper's Table XI
-    # does not pin down the denominator; DESIGN.md documents this choice).
-    from .estpm import build_event_supports
-    from .seasonal import is_candidate
+    return ApproxResult(mining=mining, screening=rep)
 
+
+def pct_events_pruned(dseq: DSeq, report: CorrelationReport, params: STPMParams) -> float:
+    """% of candidate events whose series the MI screen pruned (Table XI).
+
+    The denominator uses a lenient seasonal gate (minSeason floored at 4):
+    it measures how much of the *potential* single-event search space
+    the MI screen removes, independent of how strict this particular
+    configuration's own maxSeason gate already is (the paper's Table XI
+    does not pin down the denominator; DESIGN.md documents this choice).
+    """
     lenient = params.with_(min_season=min(params.min_season, 4))
-    full = build_event_supports(dseq)
-    all_candidates = {
-        ev for ev, e in full.events.items() if is_candidate(len(e.sup), lenient)
-    }
-    pruned = {
-        ev for ev in all_candidates if ev.split(":", 1)[0] in rep.pruned_series
-    }
-    pct_events = 100.0 * len(pruned) / max(1, len(all_candidates))
-    return ApproxResult(mining=mining, screening=rep, pct_events_pruned=pct_events)
+    candidates = [
+        ev
+        for ev, e in build_event_supports(dseq).events.items()
+        if is_candidate(len(e.sup), lenient)
+    ]
+    pruned = sum(ev.split(":", 1)[0] in report.pruned_series for ev in candidates)
+    return 100.0 * pruned / max(1, len(candidates))
 
 
 def accuracy(approx: MiningResult, exact: MiningResult) -> float:

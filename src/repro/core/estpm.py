@@ -15,7 +15,9 @@ Mining runs in two steps over a temporal sequence database:
 
 Pruning toggles reproduce the paper's ablation (Figs. 15-16):
 ``apriori=False`` disables every maxSeason gate, ``transitivity=False``
-disables FilteredF1 and the Lemma-4 pair check. All four combinations
+disables FilteredF1 only. The Lemma-4 pair check is always on, because
+it is the same lookup as the iterative check: HLH_2 holds a pair only
+if the pair has a candidate 2-event pattern. All four combinations
 return identical frequent patterns (tested against ``brute``).
 
 Deterministic simplification (documented in DESIGN.md): when an event
@@ -179,22 +181,16 @@ def mine(
             if transitivity
             else sorted(hlh1.events)
         )
-        # pairs that own at least one candidate 2-event pattern (Lemma 4)
-        pair_ok = {g.events for g in res.hlhk[2].groups.values() if g.patterns}
         pair_groups = res.hlhk[2].groups
         for g_events, g in prev.groups.items():
-            if not g.patterns:
-                continue
             for ev in filtered_f1:
                 if ev <= g_events[-1]:
                     continue  # canonical extension: strictly larger event key
-                if transitivity and any(
-                    (e, ev) not in pair_ok for e in g_events
-                ):
-                    continue
+                # Lemma 4 / iterative check: every (E_i, ev) pair must own a
+                # candidate 2-event pattern, i.e. a group in HLH_2
                 pair_entries = [pair_groups.get((e, ev)) for e in g_events]
                 if any(pe is None for pe in pair_entries):
-                    continue  # iterative check fails: no candidate relation
+                    continue
                 sup = g.sup & hlh1.events[ev].sup
                 if apriori and not is_candidate(len(sup), params):
                     continue

@@ -71,21 +71,20 @@ class GroupEntry:
 
 @dataclass
 class HLHk:
+    """Candidate k-event groups; only groups with a candidate pattern are held."""
+
     k: int
     groups: dict[tuple[str, ...], GroupEntry] = field(default_factory=dict)
 
     def events_in_patterns(self) -> set[str]:
-        """Single events appearing in at least one candidate pattern.
+        """Single events appearing in at least one candidate pattern,
+        that is, in at least one group.
 
         This is the transitivity filter's source set (Lemma 4 /
         ``Transitivity_Filtering`` in Alg. 1): an event absent from every
         candidate (k-1)-event pattern cannot extend any of them.
         """
-        out: set[str] = set()
-        for g in self.groups.values():
-            if g.patterns:
-                out.update(g.events)
-        return out
+        return {ev for events in self.groups for ev in events}
 
     def __len__(self) -> int:
         return len(self.groups)

@@ -107,7 +107,10 @@ def nmi_from_joint_counts(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def pair_min_nmis(symbolic: Mapping[str, Sequence[str]]) -> dict[frozenset, float]:
-    """min(NMI(X;Y), NMI(Y;X)) for every unordered pair of aligned series."""
+    """min(NMI(X;Y), NMI(Y;X)) for every unordered pair of aligned series.
+
+    The series must be complete: equal lengths and no missing instant.
+    """
     names = sorted(symbolic)
     lengths = {len(symbolic[s]) for s in names}
     if len(lengths) > 1:
@@ -117,7 +120,10 @@ def pair_min_nmis(symbolic: Mapping[str, Sequence[str]]) -> dict[frozenset, floa
         )
     codes, k = [], 1
     for s in names:
-        levels, inv = np.unique(np.asarray(symbolic[s]), return_inverse=True)
+        symbols = np.asarray(symbolic[s])
+        if symbols.dtype == object and any(x is None for x in symbolic[s]):
+            raise ValueError(f"series {s} has missing instants (None)")
+        levels, inv = np.unique(symbols, return_inverse=True)
         codes.append(inv.astype(np.min_scalar_type(len(levels))))
         k = max(k, len(levels))
     pairs = list(combinations(range(len(names)), 2))

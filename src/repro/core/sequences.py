@@ -10,7 +10,7 @@ the per-row layout of the paper's Table IV.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .events import EventInstance, canonical_sort_key
 
@@ -41,27 +41,27 @@ class DSeq:
         return sum(len(r) for r in self.rows.values())
 
 
-def rle_instances(series: str, symbols: Sequence[str], *, t0: int = 0) -> list[EventInstance]:
-    """Run-length encode a symbol block into event instances.
+def runs(symbols: Sequence[str | None], m: int) -> Iterator[tuple[int, int, str]]:
+    """Event instances of one series as ``(start, end, symbol)`` runs.
 
-    ``t0`` is the absolute fine position of ``symbols[0]``; ``None``
-    symbols (missing data) break runs and produce no instance.
+    An instance is a maximal run of one symbol inside one coarse granule
+    (Defs. 3.11-3.13): a run ends at a symbol change, at a granule
+    boundary (``t % m == 0``) or at a missing instant (``None``), which
+    starts no run itself. ``t`` is the position in ``symbols``.
     """
-    out: list[EventInstance] = []
     run_sym: str | None = None
     run_start = 0
-    for i, sym in enumerate(symbols):
-        if sym != run_sym:
+    for t, sym in enumerate(symbols):
+        if sym != run_sym or t % m == 0:
             if run_sym is not None:
-                out.append(EventInstance(t0 + run_start, t0 + i - 1, series, run_sym))
-            run_sym, run_start = sym, i
+                yield run_start, t - 1, run_sym
+            run_sym, run_start = sym, t
     if run_sym is not None:
-        out.append(EventInstance(t0 + run_start, t0 + len(symbols) - 1, series, run_sym))
-    return out
+        yield run_start, len(symbols) - 1, run_sym
 
 
 def build_dseq(
-    symbolic: Mapping[str, Sequence[str]],
+    symbolic: Mapping[str, Sequence[str | None]],
     m: int,
     *,
     ignore_symbols: frozenset[str] | set[str] = frozenset(),
@@ -70,8 +70,9 @@ def build_dseq(
 
     ``symbolic`` maps series name -> fine-granularity symbol sequence (all
     series must share a time domain; shorter series are treated as ending
-    early). Trailing partial blocks (< m symbols) form a final, shorter
-    granule, mirroring how a real deployment truncates at "now".
+    early; ``None`` marks a missing instant). Trailing partial blocks
+    (< m symbols) form a final, shorter granule, mirroring how a real
+    deployment truncates at "now".
 
     ``ignore_symbols`` drops instances of uninformative symbols (e.g. the
     "background/off" level) from the database — an experimental-design
@@ -81,17 +82,13 @@ def build_dseq(
     if m <= 0:
         raise ValueError(f"m must be >= 1, got {m}")
     n_fine = max((len(s) for s in symbolic.values()), default=0)
-    n_granules = (n_fine + m - 1) // m
     instances = (
-        inst
+        EventInstance(start, end, series, sym)
         for series in sorted(symbolic)
-        for h in range(n_granules)
-        for inst in rle_instances(
-            series, symbolic[series][h * m : (h + 1) * m], t0=h * m
-        )
-        if inst.symbol not in ignore_symbols
+        for start, end, sym in runs(symbolic[series], m)
+        if sym not in ignore_symbols
     )
-    return build_dseq_from_instances(instances, m, n_granules)
+    return build_dseq_from_instances(instances, m, (n_fine + m - 1) // m)
 
 
 def build_dseq_from_instances(

@@ -86,8 +86,6 @@ class DatasetProfile:
     families: dict[str, Family]
     series: list[SeriesSpec]
     seed: int = 0
-    #: symbols dropped from D_SEQ (scalability profiles drop background)
-    ignore_symbols: frozenset = frozenset()
 
     @property
     def n_series(self) -> int:
@@ -229,7 +227,6 @@ def scaled_profile(base: str, n_series: int, *, seed: int = 0) -> DatasetProfile
         families=p.families,
         series=series,
         seed=seed,
-        ignore_symbols=frozenset({"0"}),
     )
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import pandas as pd
 
 from ..baseline.aps import mine_aps
-from ..core.astpm import accuracy, mine_approx, screen_correlated
+from ..core.astpm import accuracy, mine_approx, pct_events_pruned, screen_correlated
 from ..core.estpm import mine
 from ..core.granularity import pct_to_count
 from ..core.mi import pair_min_nmis
@@ -203,11 +203,11 @@ def pruning_table(
         row: dict = {"n_series": n}
         for ms, md in combos:
             params = params_for(
-                p, max_period_pct=0.4, min_density_pct=md, min_season=ms, max_k=1
+                p, max_period_pct=0.4, min_density_pct=md, min_season=ms
             )
-            approx = mine_approx(symbols, dseq, params, pair_nmis=nmis)
-            row[f"series_{ms}-{md}"] = round(approx.screening.pct_series_pruned, 2)
-            row[f"events_{ms}-{md}"] = round(approx.pct_events_pruned, 2)
+            rep = screen_correlated(symbols, params, dseq.n_granules, pair_nmis=nmis)
+            row[f"series_{ms}-{md}"] = round(rep.pct_series_pruned, 2)
+            row[f"events_{ms}-{md}"] = round(pct_events_pruned(dseq, rep, params), 2)
         rows.append(row)
     return pd.DataFrame(rows)
 

@@ -15,11 +15,12 @@ from __future__ import annotations
 import json
 from typing import Iterable
 
+import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import types as T
 
-from ..core.astpm import mine_approx
+from ..core.astpm import mine_approx, pct_events_pruned, screen_correlated
 from ..core.estpm import MiningResult, mine
 from ..core.seasonal import STPMParams
 from ..core.sequences import build_dseq
@@ -75,11 +76,14 @@ def _result_rows(group: int, res: MiningResult) -> Iterable[dict]:
         )
 
 
-def _symbols_from_pdf(pdf: pd.DataFrame) -> dict[str, list[str]]:
-    out: dict[str, list[str]] = {}
+def _symbols_from_pdf(pdf: pd.DataFrame) -> dict[str, list[str | None]]:
+    """Series -> symbol at each instant ``t`` of the group (``None`` if missing)."""
+    n = int(pdf["t"].max()) + 1
+    out: dict[str, list[str | None]] = {}
     for series, sub in pdf.groupby("series"):
-        sub = sub.sort_values("t")
-        out[str(series)] = sub["symbol"].astype(str).tolist()
+        symbols = np.full(n, None, dtype=object)
+        symbols[sub["t"].to_numpy()] = sub["symbol"].to_numpy()
+        out[str(series)] = symbols.tolist()
     return out
 
 
@@ -128,8 +132,7 @@ def screen_stats(
         group = int(pdf["group"].iloc[0])
         symbols = _symbols_from_pdf(pdf)
         dseq = build_dseq(symbols, m, ignore_symbols=ignore_symbols)
-        approx = mine_approx(symbols, dseq, params.with_(max_k=1))
-        rep = approx.screening
+        rep = screen_correlated(symbols, params, dseq.n_granules)
         return pd.DataFrame(
             [
                 dict(
@@ -137,7 +140,7 @@ def screen_stats(
                     n_series=rep.n_series,
                     n_series_pruned=len(rep.pruned_series),
                     pct_series_pruned=rep.pct_series_pruned,
-                    pct_events_pruned=approx.pct_events_pruned,
+                    pct_events_pruned=pct_events_pruned(dseq, rep, params),
                 )
             ]
         )

@@ -34,17 +34,20 @@ def with_granule(df: DataFrame, m: int) -> DataFrame:
 def extract_instances(sym_df: DataFrame, m: int) -> DataFrame:
     """Event instances per (group, series, granule): gaps-and-islands.
 
-    A new run starts when the symbol changes *or* the coarse granule
-    changes (runs never span granules, per Def. 3.12's per-granule
-    grouping). Output: ``(group, series, granule, symbol, start, end)``
-    with inclusive fine endpoints.
+    The run rule of :func:`repro.core.sequences.runs`: a NULL symbol is a
+    missing instant, and a run ends at a symbol change, a coarse granule
+    change or a missing instant (``t != lag(t) + 1``), so runs never span
+    granules (Def. 3.12's per-granule grouping). Output: ``(group,
+    series, granule, symbol, start, end)`` with inclusive fine endpoints.
     """
-    df = with_granule(sym_df, m)
+    df = with_granule(sym_df.where(F.col("symbol").isNotNull()), m)
     w = Window.partitionBy("group", "series").orderBy("t")
+    prev_t = F.lag("t").over(w)
     run_break = (
-        (F.col("symbol") != F.lag("symbol").over(w))
+        prev_t.isNull()
+        | (F.col("t") != prev_t + 1)
+        | (F.col("symbol") != F.lag("symbol").over(w))
         | (F.col("granule") != F.lag("granule").over(w))
-        | F.lag("symbol").over(w).isNull()
     ).cast("int")
     df = df.withColumn("run_break", run_break)
     df = df.withColumn(

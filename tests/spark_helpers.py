@@ -1,7 +1,18 @@
 """Shared helpers for the Spark-layer tests: a tiny profile + frames."""
 import pandas as pd
+from pyspark.sql import types as T
 
 from repro.datasets import DatasetProfile, Family, SeriesSpec, gen_symbols
+
+#: the long-format symbol frame, stated so NULL symbols need no inference
+SYM_SCHEMA = T.StructType(
+    [
+        T.StructField("group", T.LongType()),
+        T.StructField("series", T.StringType()),
+        T.StructField("t", T.LongType()),
+        T.StructField("symbol", T.StringType()),
+    ]
+)
 
 
 def tiny_profile(seed: int = 0, n_granules: int = 48) -> DatasetProfile:

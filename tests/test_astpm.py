@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from repro.core.astpm import accuracy, mine_approx, screen_correlated
+from repro.core.astpm import accuracy, mine_approx, pct_events_pruned, screen_correlated
 from repro.core.estpm import mine
 from repro.core.seasonal import STPMParams
 from repro.core.sequences import build_dseq
@@ -124,7 +124,7 @@ class TestMineApprox:
         dseq = build_dseq(sym, m=M)
         approx = mine_approx(sym, dseq, PARAMS)
         # noise series' dense "0" events are candidates -> counted pruned
-        assert approx.pct_events_pruned > 0
+        assert pct_events_pruned(dseq, approx.screening, PARAMS) > 0
 
     def test_speedup_proxy_fewer_pairs_considered(self):
         sym = family(8, shifted=True)

@@ -96,7 +96,6 @@ class TestScaled:
     def test_series_count(self):
         p = scaled_profile("re", 40)
         assert p.n_series == 40
-        assert p.ignore_symbols == frozenset({"0"})
 
     def test_rejects_shrinking(self):
         with pytest.raises(ValueError):

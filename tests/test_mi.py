@@ -116,6 +116,11 @@ class TestPairMinNMIs:
         with pytest.raises(ValueError, match="short"):
             pair_min_nmis(sym)
 
+    def test_missing_instant_names_the_series(self):
+        sym = {"a": list("0101"), "holed": ["0", None, "0", "1"]}
+        with pytest.raises(ValueError, match="holed"):
+            pair_min_nmis(sym)
+
 
 class TestLambertW:
     @given(st.floats(-1 / math.e + 1e-9, 100.0))

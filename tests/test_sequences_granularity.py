@@ -1,4 +1,4 @@
-"""Sequence mapping, RLE instance extraction, granularity arithmetic."""
+"""Sequence mapping, run-length instance extraction, granularity arithmetic."""
 import pytest
 from hypothesis import given, strategies as st
 
@@ -12,7 +12,7 @@ from repro.core.granularity import (
 from repro.core.sequences import (
     build_dseq,
     build_dseq_from_instances,
-    rle_instances,
+    runs,
 )
 from repro.core.events import EventInstance
 
@@ -53,25 +53,27 @@ class TestGranularity:
 
 class TestRLE:
     def test_simple(self):
-        out = rle_instances("C", list("1100"))
-        assert [(i.symbol, i.start, i.end) for i in out] == [("1", 0, 1), ("0", 2, 3)]
-
-    def test_offset(self):
-        out = rle_instances("C", list("01"), t0=10)
-        assert [(i.start, i.end) for i in out] == [(10, 10), (11, 11)]
+        assert list(runs(list("1100"), 4)) == [(0, 1, "1"), (2, 3, "0")]
+        # a granule boundary ends a run too
+        assert list(runs(list("11111"), 2)) == [(0, 1, "1"), (2, 3, "1"), (4, 4, "1")]
 
     def test_none_breaks_runs(self):
-        out = rle_instances("C", ["1", None, "1"])
-        assert [(i.start, i.end) for i in out] == [(0, 0), (2, 2)]
+        assert list(runs(["1", None, "1"], 3)) == [(0, 0, "1"), (2, 2, "1")]
 
-    @given(st.lists(st.sampled_from("ab"), min_size=1, max_size=30))
-    def test_roundtrip_covers_everything(self, syms):
-        out = rle_instances("S", syms)
+    @given(
+        st.lists(st.sampled_from(["a", "b", None]), min_size=1, max_size=30),
+        st.integers(1, 5),
+    )
+    def test_roundtrip_covers_everything(self, syms, m):
         covered = [None] * len(syms)
-        for i in out:
-            for t in range(i.start, i.end + 1):
+        for start, end, sym in runs(syms, m):
+            assert start // m == end // m  # inside one granule
+            # maximal: the instants around the run cannot extend it
+            assert start % m == 0 or syms[start - 1] != sym
+            assert end + 1 == len(syms) or (end + 1) % m == 0 or syms[end + 1] != sym
+            for t in range(start, end + 1):
                 assert covered[t] is None
-                covered[t] = i.symbol
+                covered[t] = sym
         assert covered == syms
 
 

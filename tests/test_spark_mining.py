@@ -11,7 +11,7 @@ from repro.core.sequences import build_dseq
 from repro.datasets import gen_symbols
 from repro.sparkio.mining import mine_groups, screen_stats
 
-from .spark_helpers import symbols_long_pdf, tiny_profile
+from .spark_helpers import SYM_SCHEMA, symbols_long_pdf, tiny_profile
 
 pytestmark = pytest.mark.spark
 
@@ -108,3 +108,30 @@ def test_ignore_symbols_drops_background(sym_df):
         sym_df, PARAMS, PROFILE.m, ignore_symbols=frozenset({"0"})
     ).toPandas()
     assert not out["pattern"].str.contains(":0").any()
+
+
+def _holed(pdf, symbols, hole):
+    """Drop (``"missing"``) or NULL (``"null"``) some rows of group 0."""
+    if hole == "missing":
+        mask = (pdf["series"] == "drv") & (pdf["t"] == 5)
+        symbols["drv"][5] = None
+        return pdf[~mask]
+    mask = (pdf["series"] == "nz") & (pdf["symbol"] == "0")
+    symbols["nz"] = [None if x == "0" else x for x in symbols["nz"]]
+    return pdf.assign(symbol=pdf["symbol"].where(~mask, None))
+
+
+@pytest.mark.parametrize("hole", ["missing", "null"])
+@pytest.mark.parametrize("miner", ["estpm", "aps"])
+def test_positions_come_from_t(spark, miner, hole):
+    """A missing instant shifts nothing and a NULL symbol is no event."""
+    symbols = gen_symbols(PROFILE, 0)
+    pdf = _holed(symbols_long_pdf(PROFILE), symbols, hole)
+    out = mine_groups(
+        spark.createDataFrame(pdf, SYM_SCHEMA), PARAMS, PROFILE.m, miner=miner
+    ).toPandas()
+    dseq = build_dseq(symbols, PROFILE.m)
+    res = mine(dseq, PARAMS) if miner == "estpm" else mine_aps(dseq, PARAMS)
+    singles, patterns = rows_to_sets(out, 0)
+    assert singles == set(res.singles)
+    assert patterns == {" ; ".join(f"{a} {r} {b}" for r, a, b in p) for p in res.patterns}

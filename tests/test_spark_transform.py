@@ -1,7 +1,10 @@
 """Phase-1 DataFrame transforms, oracle-checked against DuckDB SQL."""
+import random
+
 import pandas as pd
 import pytest
 
+from repro.core.sequences import runs
 from repro.core.symbolize import threshold_symbols
 from repro.datasets import CUT, gen_values_pdf
 from repro.oracle import assert_equivalent
@@ -13,7 +16,7 @@ from repro.sparkio.transform import (
     with_granule,
 )
 
-from .spark_helpers import symbols_long_pdf, tiny_profile
+from .spark_helpers import SYM_SCHEMA, symbols_long_pdf, tiny_profile
 
 pytestmark = pytest.mark.spark
 
@@ -90,11 +93,13 @@ class TestExtractInstances:
             """
             WITH runs AS (
               SELECT "group", series, t, symbol, t // 4 AS granule,
-                     CASE WHEN lag(symbol) OVER w IS NULL
+                     CASE WHEN lag(t) OVER w IS NULL
+                            OR lag(t) OVER w <> t - 1
                             OR lag(symbol) OVER w <> symbol
                             OR lag(t // 4) OVER w <> t // 4
                           THEN 1 ELSE 0 END AS brk
               FROM sym
+              WHERE symbol IS NOT NULL
               WINDOW w AS (PARTITION BY "group", series ORDER BY t)
             ), numbered AS (
               SELECT *, SUM(brk) OVER
@@ -130,6 +135,46 @@ class TestExtractInstances:
                 for r in out[out["group"] == g].itertuples(index=False)
             }
             assert got == expect
+
+    @staticmethod
+    def _instances(spark, rows, m):
+        pdf = pd.DataFrame(rows, columns=["group", "series", "t", "symbol"])
+        out = extract_instances(spark.createDataFrame(pdf, SYM_SCHEMA), m).toPandas()
+        return sorted(
+            (r.series, r.symbol, r.start, r.end) for r in out.itertuples(index=False)
+        )
+
+    def test_missing_instant_splits_run(self, spark):
+        rows = [(0, "a", t, "1") for t in (0, 1, 3, 4)]
+        assert self._instances(spark, rows, 100) == [("a", "1", 0, 1), ("a", "1", 3, 4)]
+
+    def test_null_symbol_is_a_missing_instant(self, spark):
+        assert self._instances(spark, [(0, "a", 0, None)], 4) == []
+        rows = [(0, "a", t, None if t == 2 else "1") for t in range(5)]
+        assert self._instances(spark, rows, 100) == [("a", "1", 0, 1), ("a", "1", 3, 4)]
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 5])
+    def test_holed_shuffled_frames_match_python_runs(self, spark, m):
+        syms = {
+            "a": ["1", "1", None, "1", "0", "0", "0", "1", None, None, "1", "1"],
+            "b": [None, "0", "0", "0", "0", "1", "1", "1", "1", "0", "0", None],
+        }
+        missing = {("a", 8), ("b", 0), ("b", 6)}  # absent rows; the rest are NULL
+        rows = [
+            (0, s, t, sym)
+            for s, seq in syms.items()
+            for t, sym in enumerate(seq)
+            if (s, t) not in missing
+        ]
+        random.Random(m).shuffle(rows)
+        expect = sorted(
+            (s, sym, start, end)
+            for s, seq in syms.items()
+            for start, end, sym in runs(
+                [None if (s, t) in missing else x for t, x in enumerate(seq)], m
+            )
+        )
+        assert self._instances(spark, rows, m) == expect
 
     def test_runs_never_span_granules(self, sym_df):
         out = extract_instances(sym_df, 4).toPandas()
