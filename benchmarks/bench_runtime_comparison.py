@@ -1,7 +1,9 @@
 """Figs. 7-10 shape: the three miners on the same dataset/params.
 
 pytest-benchmark's relative ranking of these three benchmarks *is* the
-paper's runtime comparison: A-STPM < E-STPM < APS-growth.
+paper's runtime comparison. The paper has A-STPM < E-STPM < APS-growth;
+here E-STPM and A-STPM run about level, both well ahead of APS-growth
+(EXPERIMENTS.md, Figs. 7-10).
 """
 from repro.baseline.aps import mine_aps
 from repro.core.astpm import mine_approx

@@ -115,7 +115,7 @@ def pct_events_pruned(dseq: DSeq, report: CorrelationReport, params: STPMParams)
     candidates = [
         ev
         for ev, e in build_event_supports(dseq).events.items()
-        if is_candidate(len(e.sup), lenient)
+        if is_candidate(e.sup.bit_count(), lenient)
     ]
     pruned = sum(ev.split(":", 1)[0] in report.pruned_series for ev in candidates)
     return 100.0 * pruned / max(1, len(candidates))

@@ -3,14 +3,15 @@
 Mining runs in two steps over a temporal sequence database:
 
 1. *Seasonal single event mining* — one scan of D_SEQ builds HLH_1 with
-   the support set and per-granule representative instance of every
-   event; the maxSeason gate (Apriori-like pruning, Lemmas 1-2) keeps
-   only candidate events.
+   the support bitset of every event and the granules where its
+   representative instance has each shape; the maxSeason gate
+   (Apriori-like pruning, Lemmas 1-2) keeps only candidate events.
 2. *Seasonal k-event pattern mining* — candidate k-event groups come
    from extending candidate (k-1)-event groups with candidate single
-   events (support sets intersect, maxSeason gates), optionally passed
-   through the transitivity filter (Lemmas 3-4); relations are verified
-   per granule from the representative instances, and candidate patterns
+   events (support bitsets AND, maxSeason gates), optionally passed
+   through the transitivity filter (Lemmas 3-4). k = 2 relates two
+   events once per pair of shapes; k >= 3 ANDs the parent pattern's
+   bitset with one 2-event pattern per new pair. Candidate patterns
    finally undergo the full seasonal check (Def. 3.17).
 
 Pruning toggles reproduce the paper's ablation (Figs. 15-16):
@@ -32,7 +33,7 @@ from itertools import combinations
 
 from .events import relation
 from .hlh import HLH1, EventEntry, GroupEntry, HLHk, Pattern
-from .seasonal import STPMParams, SeasonalVerdict, evaluate_seasonality, is_candidate
+from .seasonal import STPMParams, SeasonalVerdict, evaluate_seasonality
 from .sequences import DSeq
 
 
@@ -59,47 +60,84 @@ class MiningResult:
 
 
 def build_event_supports(dseq: DSeq) -> HLH1:
-    """One scan of D_SEQ: support set + representative instance per event."""
-    hlh = HLH1()
+    """One scan of D_SEQ: support bitset + representative shapes per event."""
+    events: dict[str, EventEntry] = {}
     for h, insts in dseq.rows.items():
-        for pos, inst in enumerate(insts):  # already in canonical order
-            hlh.add(h, pos, inst)
-    return hlh
+        bit, origin = 1 << h, h * dseq.m
+        for inst in insts:  # canonical order: an event's first is its representative
+            e = events.get(ev := inst.event)
+            if e is None:
+                e = events[ev] = EventEntry(ev, (inst.series, inst.symbol))
+            elif e.sup & bit:
+                continue
+            e.sup |= bit
+            shape = (inst.start - origin, inst.end - origin)
+            e.shapes[shape] = e.shapes.get(shape, 0) | bit
+    return HLH1(events)
 
 
-def _pair_patterns(
-    a: EventEntry, b: EventEntry, sup: set[int], params: STPMParams
+def _pair_group(
+    a: EventEntry, b: EventEntry, sup: int, floor: int, eps: int, d_o: int
 ) -> GroupEntry:
-    """Verify the relation of two events in every shared granule.
+    """Relate two events (``a.event < b.event``) shape pair by shape pair.
 
-    The representative that comes first in the granule's D_SEQ row is
-    the relation's first event, as in :func:`repro.core.events.pair_relation`.
+    In the granules where ``a`` has shape ``(sa, ea)`` and ``b`` has
+    ``(sb, eb)``, Table III sees exactly these offsets, so one
+    :func:`relation` call covers them all. The representative that is
+    canonically first — ``(start, -end, series, symbol)``, as in
+    :func:`repro.core.events.canonical_sort_key` — is the relation's
+    first event. Patterns with fewer than ``floor`` granules are dropped.
     """
-    entry = GroupEntry(events=tuple(sorted((a.event, b.event))), sup=sup)
-    eps, d_o = params.epsilon, params.d_o
-    for h in sup:
-        pa, sa, ea = a.span[h]
-        pb, sb, eb = b.span[h]
-        if pa < pb:
-            rel, first, second = relation(sa, ea, sb, eb, eps, d_o), a.event, b.event
-        else:
-            rel, first, second = relation(sb, eb, sa, ea, eps, d_o), b.event, a.event
-        if rel is None:
+    b_shapes = [(sb, eb, bits) for (sb, eb), bits in b.shapes.items() if bits & sup]
+    by_rel: dict[tuple[str, bool], int] = {}  # (rel, a is first) -> granules
+    for (sa, ea), bits_a in a.shapes.items():
+        bits_a &= sup
+        if not bits_a:
             continue
-        pattern: Pattern = ((rel, first, second),)
-        entry.patterns.setdefault(pattern, set()).add(h)
-        entry.pattern_at[h] = pattern
+        key_a = (sa, -ea, a.name)
+        for sb, eb, bits_b in b_shapes:
+            both = bits_a & bits_b
+            if not both:
+                continue
+            if key_a < (sb, -eb, b.name):
+                key = (relation(sa, ea, sb, eb, eps, d_o), True)
+            else:
+                key = (relation(sb, eb, sa, ea, eps, d_o), False)
+            if key[0] is not None:
+                by_rel[key] = by_rel.get(key, 0) | both
+    entry = GroupEntry(events=(a.event, b.event), sup=sup)
+    for (rel, a_first), bits in by_rel.items():
+        if bits.bit_count() >= floor:
+            triple = (rel, a.event, b.event) if a_first else (rel, b.event, a.event)
+            entry.patterns[(triple,)] = bits
     return entry
 
 
-def _gate_patterns(entry: GroupEntry, params: STPMParams, apriori: bool) -> None:
-    """Drop non-candidate patterns (maxSeason < minSeason) from a group."""
-    if not apriori:
-        return
-    keep = {p: s for p, s in entry.patterns.items() if is_candidate(len(s), params)}
-    if len(keep) != len(entry.patterns):
-        entry.patterns = keep
-        entry.pattern_at = {h: p for h, p in entry.pattern_at.items() if p in keep}
+def _extend_group(
+    g: GroupEntry, ev: str, pairs: list[GroupEntry], sup: int, floor: int
+) -> GroupEntry:
+    """Candidate patterns of ``g.events + (ev,)`` (k >= 3).
+
+    A granule's k-pattern is its parent pattern plus one candidate
+    2-event pattern of every ``(E_i, ev)`` pair (Section 4.2.2's
+    iterative check), so the support of each combination is the AND of
+    their bitsets. An AND only shrinks a count, so a partial product
+    below ``floor`` granules is dropped at once.
+    """
+    partial = [(p, bits & sup) for p, bits in g.patterns.items()]
+    for pair in pairs:
+        partial = [
+            (p + q, both)
+            for p, bits in partial
+            if bits.bit_count() >= floor
+            for q, q_bits in pair.patterns.items()
+            if (both := bits & q_bits)
+        ]
+    entry = GroupEntry(events=g.events + (ev,), sup=sup)
+    for p, bits in partial:
+        if bits.bit_count() >= floor:
+            entry.patterns[tuple(sorted(p))] = bits
+    return entry
 
 
 def mine(
@@ -121,15 +159,18 @@ def mine(
     the restricted HLH_2, mirroring Algorithm 2.
     """
     res = MiningResult(params=params)
+    # the maxSeason gate (``is_candidate``) as a floor on bit counts;
+    # without it a pattern needs one granule
+    floor = params.min_season * params.min_density if apriori else 1
 
     # ---- Step 2.1: seasonal single events (Alg. 1 lines 1-9) ----
     full = build_event_supports(dseq)
     res.stats["n_events_total"] = len(full)
     hlh1 = HLH1()
     for ev, entry in full.events.items():
-        if restrict_series is not None and ev.split(":", 1)[0] not in restrict_series:
+        if restrict_series is not None and entry.name[0] not in restrict_series:
             continue
-        if apriori and not is_candidate(len(entry.sup), params):
+        if entry.sup.bit_count() < floor:
             continue
         hlh1.events[ev] = entry
     res.hlh1 = hlh1
@@ -148,15 +189,14 @@ def mine(
     for ev_a, ev_b in combinations(sorted(hlh1.events), 2):
         a, b = hlh1.events[ev_a], hlh1.events[ev_b]
         if allowed_pairs is not None:
-            sa, sb = ev_a.split(":")[0], ev_b.split(":")[0]
+            sa, sb = a.name[0], b.name[0]
             if sa != sb and frozenset((sa, sb)) not in allowed_pairs:
                 continue
         considered += 1
         sup = a.sup & b.sup
-        if apriori and not is_candidate(len(sup), params):
+        if sup.bit_count() < floor:
             continue
-        entry = _pair_patterns(a, b, sup, params)
-        _gate_patterns(entry, params, apriori)
+        entry = _pair_group(a, b, sup, floor, params.epsilon, params.d_o)
         if entry.patterns:
             hlh2.groups[entry.events] = entry
     res.hlhk[2] = hlh2
@@ -168,9 +208,8 @@ def mine(
     # (r_ik, E_i, E_k) through HLH_2: a k-pattern can only occur at a
     # granule where every (E_i, E_k) pair already holds a *candidate*
     # 2-event pattern there (sub-pattern candidacy, Lemma 1), so the
-    # per-granule triples are read straight out of HLH_2's GH table
-    # (pattern_at) instead of being recomputed.
-    canon_cache: dict[tuple, Pattern] = {}
+    # triples and their granules are read straight out of HLH_2.
+    pair_groups = hlh2.groups
     prev = hlh2
     for k in range(3, params.max_k + 1):
         if not prev.groups:
@@ -181,41 +220,19 @@ def mine(
             if transitivity
             else sorted(hlh1.events)
         )
-        pair_groups = res.hlhk[2].groups
         for g_events, g in prev.groups.items():
             for ev in filtered_f1:
                 if ev <= g_events[-1]:
                     continue  # canonical extension: strictly larger event key
                 # Lemma 4 / iterative check: every (E_i, ev) pair must own a
                 # candidate 2-event pattern, i.e. a group in HLH_2
-                pair_entries = [pair_groups.get((e, ev)) for e in g_events]
-                if any(pe is None for pe in pair_entries):
+                pairs = [pair_groups.get((e, ev)) for e in g_events]
+                if None in pairs:
                     continue
                 sup = g.sup & hlh1.events[ev].sup
-                if apriori and not is_candidate(len(sup), params):
+                if sup.bit_count() < floor:
                     continue
-                new = GroupEntry(events=g_events + (ev,), sup=sup)
-                for h in sup:
-                    parent = g.pattern_at.get(h)
-                    if parent is None:
-                        continue
-                    triples = []
-                    for pe in pair_entries:
-                        t = pe.pattern_at.get(h)
-                        if t is None:
-                            triples = None
-                            break
-                        triples.append(t[0])
-                    if triples is None:
-                        continue
-                    raw = parent + tuple(triples)
-                    pattern = canon_cache.get(raw)
-                    if pattern is None:
-                        pattern = tuple(sorted(raw))
-                        canon_cache[raw] = pattern
-                    new.patterns.setdefault(pattern, set()).add(h)
-                    new.pattern_at[h] = pattern
-                _gate_patterns(new, params, apriori)
+                new = _extend_group(g, ev, pairs, sup, floor)
                 if new.patterns:
                     cur.groups[new.events] = new
         res.hlhk[k] = cur

@@ -84,14 +84,6 @@ def relation(
     return None
 
 
-def classify(a: EventInstance, b: EventInstance, *, epsilon: int = 0, d_o: int = 1) -> str | None:
-    """Relation of ``a`` (canonically first) to ``b``, or None.
-
-    Preconditions: ``canonical_sort_key(a) <= canonical_sort_key(b)``.
-    """
-    return relation(a.start, a.end, b.start, b.end, epsilon, d_o)
-
-
 def pair_relation(
     x: EventInstance, y: EventInstance, *, epsilon: int = 0, d_o: int = 1
 ) -> tuple[str, EventInstance, EventInstance] | None:

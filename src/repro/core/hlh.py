@@ -1,25 +1,32 @@
 """Hierarchical lookup hash structures HLH_1 and HLH_k (Figs. 4-5).
 
+Every granule set here is a *bitset*: a Python int whose bit ``h`` is
+set iff coarse granule ``h`` belongs to the set. Intersection is ``&``
+and |set| is ``int.bit_count()``, C loops over the int's digits in place
+of Python loops over granules (the vertical bit-vector tid-lists of
+Zaki's Eclat and of MAFIA).
+
 ``HLH1`` plays the role of the paper's EH + GH pair: per candidate
-single event it keeps the support set (the EH value / GH key) and the
-representative instance per granule (the GH value).
+single event it keeps the support bitset (the EH value / GH key) and,
+instead of one representative instance per granule, the representative's
+*shape* — its ``(start, end)`` offset inside its granule — mapped to the
+bitset of granules where it has that shape. Table III compares only
+differences of endpoints, so two events' relation in a granule follows
+from their two shapes alone (DESIGN.md, "Bitset HLH").
 
 ``HLHk`` plays the role of EH_k + PH_k + GH_k: per candidate k-event
-group it keeps the group support set (EH_k), and per candidate pattern
-of that group the pattern's support set (PH_k) plus the granule ->
-pattern index (GH_k's role of tying granules to the instances/relations
-that formed the pattern; instances themselves are recoverable from
-HLH1's per-granule representatives, so we store positions only).
+group it keeps the group support bitset (EH_k) and per candidate pattern
+of that group the pattern's support bitset (PH_k). At most one pattern
+of a group occurs in a granule, so a group's pattern bitsets are
+disjoint, and together they tie each granule to the pattern formed
+there (GH_k's role).
 
 A *pattern* is a tuple of rendered triples ``(rel, first_event,
-second_event)`` covering every pair of the group, ordered by the
-canonical instance order in the granule where it occurs.
+second_event)`` covering every pair of the group, sorted.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-from .events import EventInstance
 
 Pattern = tuple[tuple[str, str, str], ...]  # ((rel, ev_i, ev_j), ...)
 
@@ -29,25 +36,19 @@ class EventEntry:
     """HLH_1 row: one candidate seasonal single event."""
 
     event: str
-    sup: set[int] = field(default_factory=set)
-    #: representative (canonically first) instance per granule, as
-    #: ``(position in the D_SEQ row, start, end)``
-    span: dict[int, tuple[int, int, int]] = field(default_factory=dict)
+    #: ``(series, symbol)``: orders two events whose shapes tie, as
+    #: ``canonical_sort_key`` does
+    name: tuple[str, str]
+    #: bitset of the granules holding an instance of the event
+    sup: int = 0
+    #: representative (canonically first) instance's ``(start, end)``
+    #: offset inside its granule -> bitset of granules with that shape
+    shapes: dict[tuple[int, int], int] = field(default_factory=dict)
 
 
 @dataclass
 class HLH1:
     events: dict[str, EventEntry] = field(default_factory=dict)
-
-    def add(self, h: int, pos: int, inst: EventInstance) -> None:
-        """Record ``inst``, found at ``dseq.rows[h][pos]``."""
-        e = self.events.setdefault(inst.event, EventEntry(inst.event))
-        e.sup.add(h)
-        # rows are in canonical order, so the first add per (event,
-        # granule) is the representative, and row positions order any
-        # two representatives exactly as ``canonical_sort_key`` does
-        if h not in e.span:
-            e.span[h] = (pos, inst.start, inst.end)
 
     def __contains__(self, event: str) -> bool:
         return event in self.events
@@ -61,12 +62,10 @@ class GroupEntry:
     """HLH_k row: one candidate seasonal k-event group and its patterns."""
 
     events: tuple[str, ...]  # sorted event keys
-    sup: set[int] = field(default_factory=set)
-    #: candidate pattern -> support set (PH_k)
-    patterns: dict[Pattern, set[int]] = field(default_factory=dict)
-    #: granule -> pattern formed there (GH_k); at most one per granule
-    #: because relations are computed from representative instances
-    pattern_at: dict[int, Pattern] = field(default_factory=dict)
+    #: bitset: granules holding every event of the group
+    sup: int = 0
+    #: candidate pattern -> support bitset (PH_k); pairwise disjoint
+    patterns: dict[Pattern, int] = field(default_factory=dict)
 
 
 @dataclass

@@ -1,8 +1,10 @@
 """Seasonality measures (Defs. 3.14-3.17) and the maxSeason bound (Eq. 1).
 
 Granule positions here are 0-indexed ints; a support set is a sorted
-tuple of positions. ``maxPeriod``/``minDensity`` are absolute granule
-counts (use :func:`repro.core.granularity.pct_to_count` to convert the
+tuple of positions (:func:`evaluate_seasonality` also takes the bitset
+form E-STPM keeps, bit ``h`` set iff granule ``h`` is in).
+``maxPeriod``/``minDensity`` are absolute granule counts (use
+:func:`repro.core.granularity.pct_to_count` to convert the
 paper's percentage parameters).
 
 Season counting (Def. 3.17): the paper requires every pair of
@@ -17,6 +19,7 @@ the paper's (internally inconsistent) M:1>=N:1 worked example.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 
@@ -107,19 +110,29 @@ class SeasonalVerdict:
     n_seasons: int
     frequent: bool
 
-    @property
-    def max_season(self) -> float:  # for reporting
-        return float(len(self.sup))  # divided by min_density by callers
+
+def bit_positions(bits: int) -> tuple[int, ...]:
+    """Set positions of a bitset (bit ``h`` set iff granule ``h`` is in), ascending."""
+    # bit 0 first, cut after every set bit: each piece's length is the
+    # step from the previous set position to the next
+    steps = bin(bits)[:1:-1].replace("1", "1,").split(",")[:-1]
+    return tuple(accumulate(map(len, steps), initial=-1))[1:]
 
 
-def evaluate_seasonality(sup: Iterable[int], params: STPMParams) -> SeasonalVerdict:
-    """Full Def. 3.17 check: seasons + distInterval chain + minSeason."""
-    s = tuple(sorted(sup))
+def evaluate_seasonality(sup: Iterable[int] | int, params: STPMParams) -> SeasonalVerdict:
+    """Full Def. 3.17 check: seasons + distInterval chain + minSeason.
+
+    ``sup`` is a collection of granule positions or a bitset of them.
+    """
+    s = bit_positions(sup) if isinstance(sup, int) else tuple(sorted(sup))
     seasons = tuple(season_sets(s, params.max_period, params.min_density))
     n = count_seasons(seasons, params.dist_min, params.dist_max)
     return SeasonalVerdict(sup=s, seasons=seasons, n_seasons=n, frequent=n >= params.min_season)
 
 
 def is_candidate(sup_size: int, params: STPMParams) -> bool:
-    """Apriori-style gate: maxSeason(P) >= minSeason (Section IV-B)."""
-    return max_season(sup_size, params.min_density) >= params.min_season
+    """Apriori-style gate: maxSeason(P) >= minSeason (Section IV-B).
+
+    ``sup_size / minDensity >= minSeason`` as one integer compare.
+    """
+    return sup_size >= params.min_season * params.min_density

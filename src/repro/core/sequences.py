@@ -21,10 +21,12 @@ class DSeq:
 
     ``rows[h]`` lists the event instances of coarse granule ``h`` in
     canonical order. ``n_granules`` is |D_SEQ| (granules with no instance
-    still count toward the size — periods are positional).
+    still count toward the size — periods are positional). Granule ``h``
+    covers the fine instants ``h*m .. h*m + m - 1``.
     """
 
     n_granules: int
+    m: int
     rows: dict[int, list[EventInstance]] = field(default_factory=dict)
 
     def instances(self, h: int) -> list[EventInstance]:
@@ -109,4 +111,4 @@ def build_dseq_from_instances(
         rows.setdefault(h, []).append(inst)
     for h in rows:
         rows[h].sort(key=canonical_sort_key)
-    return DSeq(n_granules=n_granules, rows=rows)
+    return DSeq(n_granules=n_granules, m=m, rows=rows)

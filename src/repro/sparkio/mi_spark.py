@@ -35,6 +35,21 @@ def pair_joint_counts(sym_df: DataFrame) -> DataFrame:
     )
 
 
+def _reject_holes(sym_df: DataFrame) -> None:
+    per_series = (
+        sym_df.groupBy("group", "series")
+        .agg(F.count("symbol").alias("n"), F.max("t").alias("last"))
+        .toPandas()
+    )
+    n_instants = per_series.groupby("group")["last"].transform("max") + 1
+    holed = per_series[per_series["n"] < n_instants]
+    if len(holed):
+        raise ValueError(
+            "series with missing instants (NULL or absent rows): "
+            + ", ".join(f"series {r.series} in group {r.group}" for r in holed.itertuples())
+        )
+
+
 def nmi_table(sym_df: DataFrame) -> pd.DataFrame:
     """Per-pair NMI in both directions, finalized on the driver.
 
@@ -42,7 +57,12 @@ def nmi_table(sym_df: DataFrame) -> pd.DataFrame:
     The driver-side reduction is one :func:`nmi_from_joint_counts` call
     over a ``(pairs, |X|, |Y|)`` count array — trivial next to the
     joint-count shuffle.
+
+    As in :func:`repro.core.mi.pair_min_nmis`, every series must be
+    complete: a NULL symbol or an absent row at any instant ``0..max(t)``
+    of its group raises a ``ValueError`` naming the series.
     """
+    _reject_holes(sym_df)
     counts = pair_joint_counts(sym_df).toPandas()
     pairs = counts.groupby(["group", "sx", "sy"])
     out = pairs.size().index.to_frame(index=False)

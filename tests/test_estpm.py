@@ -5,9 +5,17 @@ Apriori, Trans, All — the paper's Figs. 15-16 variants) return exactly
 the same frequent seasonal patterns as the exhaustive miner, i.e. the
 prunings are lossless (Lemmas 1-4).
 """
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+import repro
 
 from repro.baseline.aps import mine_aps
 from repro.core.brute import mine_brute
@@ -219,3 +227,81 @@ def test_allowed_pairs_limits_k2():
         (_, a, b) = pattern[0]
         sa, sb = a.split(":")[0], b.split(":")[0]
         assert sa == sb or frozenset({sa, sb}) in allowed
+
+
+TIE_NAMES = ("x4", "x40", "x43")
+
+
+@st.composite
+def tie_cases(draw):
+    """Small multi-symbol D_SEQs over ``x4``/``x40``/``x43`` plus params.
+
+    Each granule has a template block that every series copies or
+    redraws, so equal spans across series (shape ties) are common.
+    """
+    m = draw(st.integers(1, 6))
+    n_granules = draw(st.integers(4, 24))
+    block = st.lists(st.sampled_from("012"[: draw(st.integers(1, 3))]), min_size=m, max_size=m)
+    symbolic = {s: [] for s in TIE_NAMES}
+    for _ in range(n_granules):
+        template = draw(block)
+        for syms in symbolic.values():
+            syms.extend(draw(block) if draw(st.booleans()) else template)
+    dist_min = draw(st.integers(0, 4))
+    params = STPMParams(
+        max_period=draw(st.integers(1, 3)),
+        min_density=draw(st.integers(1, 3)),
+        dist_min=dist_min,
+        dist_max=dist_min + draw(st.integers(0, 8)),
+        min_season=draw(st.integers(1, 3)),
+        epsilon=draw(st.sampled_from((0, 1, 2))),
+        d_o=draw(st.sampled_from((1, 2))),
+        max_k=3,
+    )
+    return build_dseq(symbolic, m), params
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(tie_cases())
+def test_prune_configs_match_brute_property(case):
+    """Every pruning config equals brute force, supports included, on
+    shape ties, every epsilon (Contains > Follows > Overlaps) and d_o."""
+    dseq, params = case
+    b_singles, b_patterns = mine_brute(dseq, params)
+    for cfg in PRUNE_CONFIGS:
+        res = mine(dseq, params, **cfg.values[0])
+        assert {e: v.sup for e, v in res.singles.items()} == {
+            e: v.sup for e, v in b_singles.items()
+        }
+        assert {p: v.sup for p, v in res.patterns.items()} == {
+            p: v.sup for p, v in b_patterns.items()
+        }
+
+
+def test_estpm_never_imports_numpy():
+    """E-STPM runs with numpy and pandas unimportable, so a mining call
+    never pays their first-use memory."""
+    code = textwrap.dedent(
+        """
+        import random, sys
+        sys.modules["numpy"] = sys.modules["pandas"] = None
+        from repro.core.estpm import mine
+        from repro.core.sequences import build_dseq
+        from tests.paper_example import EXAMPLE_PARAMS, example_dseq
+
+        rng = random.Random(7)
+        sym = {f"S{i}": rng.choices("012", k=120) for i in range(4)}
+        for dseq in (example_dseq(), build_dseq(sym, m=4)):
+            for apriori in (False, True):
+                for transitivity in (False, True):
+                    mine(dseq, EXAMPLE_PARAMS, apriori=apriori, transitivity=transitivity)
+        assert sys.modules["numpy"] is None and sys.modules["pandas"] is None
+        """
+    )
+    src = Path(repro.__file__).resolve().parents[1]
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join((str(src), str(root))))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, cwd=root, capture_output=True, text=True
+    )
+    assert out.returncode == 0, out.stderr

@@ -8,7 +8,7 @@ from repro.core.events import (
     OVERLAPS,
     EventInstance,
     canonical_sort_key,
-    classify,
+    relation,
     event_key,
     pair_relation,
     render_triple,
@@ -34,43 +34,43 @@ class TestEventInstance:
 
 
 class TestClassify:
+    """Table III through its one classifier, `events.relation`."""
+
     def test_follows_strict_gap(self):
-        assert classify(inst(0, 2), inst(5, 6, "B")) == FOLLOWS
+        assert relation(0, 2, 5, 6) == FOLLOWS
 
     def test_follows_adjacent(self):
         # b starts exactly one granule after a ends
-        assert classify(inst(0, 2), inst(3, 4, "B")) == FOLLOWS
+        assert relation(0, 2, 3, 4) == FOLLOWS
 
     def test_touching_is_overlap_not_follows(self):
         # sharing granule 2 means one granule of co-occurrence
-        assert classify(inst(0, 2), inst(2, 4, "B")) == OVERLAPS
+        assert relation(0, 2, 2, 4) == OVERLAPS
 
     def test_contains_proper(self):
-        assert classify(inst(0, 5), inst(1, 3, "B")) == CONTAINS
+        assert relation(0, 5, 1, 3) == CONTAINS
 
     def test_contains_equal_intervals(self):
-        assert classify(inst(0, 3), inst(0, 3, "B")) == CONTAINS
+        assert relation(0, 3, 0, 3) == CONTAINS
 
     def test_contains_equal_end(self):
-        assert classify(inst(0, 3), inst(2, 3, "B")) == CONTAINS
+        assert relation(0, 3, 2, 3) == CONTAINS
 
     def test_overlaps(self):
-        assert classify(inst(0, 3), inst(2, 5, "B")) == OVERLAPS
+        assert relation(0, 3, 2, 5) == OVERLAPS
 
     def test_short_overlap_filtered_by_d_o(self):
-        assert classify(inst(0, 3), inst(3, 5, "B"), d_o=2) is None
-        assert classify(inst(0, 3), inst(2, 5, "B"), d_o=2) == OVERLAPS
+        assert relation(0, 3, 3, 5, d_o=2) is None
+        assert relation(0, 3, 2, 5, d_o=2) == OVERLAPS
 
     def test_epsilon_relaxes_follows(self):
-        a, b = inst(0, 3), inst(3, 5, "B")
-        assert classify(a, b) == OVERLAPS
+        assert relation(0, 3, 3, 5) == OVERLAPS
         # with a 1-granule buffer the boundary case counts as Follows
-        assert classify(a, b, epsilon=1) == FOLLOWS
+        assert relation(0, 3, 3, 5, epsilon=1) == FOLLOWS
 
     def test_epsilon_relaxes_contains(self):
-        a, b = inst(0, 3), inst(1, 4, "B")
-        assert classify(a, b) == OVERLAPS
-        assert classify(a, b, epsilon=1) == CONTAINS
+        assert relation(0, 3, 1, 4) == OVERLAPS
+        assert relation(0, 3, 1, 4, epsilon=1) == CONTAINS
 
 
 class TestPairRelation:
@@ -114,7 +114,7 @@ def test_relations_mutually_exclusive_eps0(iv1, iv2):
     if a.start < b.start and a.end < b.end and (a.end - b.start + 1) >= 1:
         hits.append(OVERLAPS)
     assert len(hits) <= 1
-    assert classify(a, b) == (hits[0] if hits else None)
+    assert relation(a.start, a.end, b.start, b.end) == (hits[0] if hits else None)
 
 
 @given(interval, interval, st.integers(0, 3), st.integers(1, 3))

@@ -10,6 +10,7 @@ discrepancy") and assert the self-consistent outcome.
 from repro.core.estpm import build_event_supports, mine
 from repro.core.events import CONTAINS
 from repro.core.seasonal import (
+    bit_positions,
     evaluate_seasonality,
     near_support_sets,
     season_sets,
@@ -49,7 +50,7 @@ def test_candidate_single_events_match_paper():
 
 def test_event_supports_match_paper_counts():
     hlh = build_event_supports(example_dseq())
-    sizes = {ev: len(e.sup) for ev, e in hlh.events.items()}
+    sizes = {ev: e.sup.bit_count() for ev, e in hlh.events.items()}
     assert sizes["C:1"] == 8
     assert sizes["M:0"] == 5 and sizes["N:0"] == 5  # below |SUP| >= 6 gate
     assert sizes["M:1"] == 11 and sizes["N:1"] == 11
@@ -70,11 +71,12 @@ def test_c1_contains_d1_support_and_near_sets():
     res = mine(example_dseq(), EXAMPLE_PARAMS)
     pattern = ((CONTAINS, "C:1", "D:1"),)
     group = res.hlhk[2].groups[("C:1", "D:1")]
-    assert group.patterns[pattern] == {0, 1, 2, 6, 7, 10, 11, 13}
-    near = near_support_sets(sorted(group.patterns[pattern]), max_period=2)
+    sup = bit_positions(group.patterns[pattern])
+    assert sup == (0, 1, 2, 6, 7, 10, 11, 13)
+    near = near_support_sets(sup, max_period=2)
     assert near == [(0, 1, 2), (6, 7), (10, 11, 13)]
     # densities 3, 2, 3 -> two seasons, distance |p(H3)-p(H11)| = 8 in [4,10]
-    seasons = season_sets(sorted(group.patterns[pattern]), 2, 3)
+    seasons = season_sets(sup, 2, 3)
     assert seasons == [(0, 1, 2), (10, 11, 13)]
     verdict = res.patterns[pattern]
     assert verdict.n_seasons == 2 and verdict.frequent
@@ -90,7 +92,7 @@ def test_m1_contains_n1_documented_deviation():
     res = mine(example_dseq(), EXAMPLE_PARAMS)
     pattern = ((CONTAINS, "M:1", "N:1"),)
     group = res.hlhk[2].groups[("M:1", "N:1")]
-    assert group.patterns[pattern] == {0, 2, 3, 4, 5, 8, 9, 10, 12}
+    assert bit_positions(group.patterns[pattern]) == (0, 2, 3, 4, 5, 8, 9, 10, 12)
     assert pattern not in res.patterns
 
 

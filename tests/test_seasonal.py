@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 
 from repro.core.seasonal import (
     STPMParams,
+    bit_positions,
     count_seasons,
     evaluate_seasonality,
     is_candidate,
@@ -88,6 +89,11 @@ class TestMaxSeason:
         lo, hi = min(a, b), max(a, b)
         assert max_season(lo, 3) <= max_season(hi, 3)
 
+    @given(st.integers(0, 400), st.integers(1, 20), st.integers(1, 20))
+    def test_candidate_gate_is_eq1(self, sup_size, md, ms):
+        params = P.with_(min_density=md, min_season=ms)
+        assert is_candidate(sup_size, params) == (max_season(sup_size, md) >= ms)
+
 
 class TestEvaluate:
     def test_frequent_example(self):
@@ -112,6 +118,14 @@ class TestEvaluate:
         )
         v = evaluate_seasonality(sup, params)
         assert v.n_seasons <= max_season(len(v.sup), md)
+
+    @given(st.sets(st.integers(0, 700), max_size=120), st.integers(1, 5), st.integers(1, 5))
+    def test_bitset_equals_position_set(self, sup, mp, md):
+        """A bitset (bit h set iff granule h is in) gives the same verdict."""
+        bits = sum(1 << h for h in sup)
+        assert bit_positions(bits) == tuple(sorted(sup))
+        params = P.with_(max_period=mp, min_density=md)
+        assert evaluate_seasonality(bits, params) == evaluate_seasonality(sup, params)
 
 
 class TestParams:

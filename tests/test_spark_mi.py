@@ -6,7 +6,7 @@ from repro.datasets import gen_symbols
 from repro.oracle import assert_equivalent
 from repro.sparkio.mi_spark import nmi_table, pair_joint_counts
 
-from .spark_helpers import symbols_long_pdf, tiny_profile
+from .spark_helpers import SYM_SCHEMA, symbols_long_pdf, tiny_profile
 
 pytestmark = pytest.mark.spark
 
@@ -52,3 +52,19 @@ def test_copy_pair_high_noise_pair_low(sym_df):
     sub = table[table["group"] == 0].set_index(["sx", "sy"])
     assert sub.loc[("cpy", "drv")]["min_nmi"] > 0.9
     assert sub.loc[("drv", "nz")]["min_nmi"] < 0.2
+
+
+def _holed_frame(spark, *, absent: bool):
+    """a = 0,1,0,1,0,1 and b = a with t=2 missing: a NULL symbol, or no row."""
+    a = ["0", "1", "0", "1", "0", "1"]
+    rows = [(0, "a", t, s) for t, s in enumerate(a)]
+    rows += [(0, "b", t, None if t == 2 else s) for t, s in enumerate(a) if not (absent and t == 2)]
+    return spark.createDataFrame(rows, SYM_SCHEMA)
+
+
+@pytest.mark.parametrize("absent", [False, True], ids=["null", "absent"])
+def test_holed_series_is_rejected_by_name(spark, absent):
+    """As ``pair_min_nmis`` does, a series missing an instant is refused
+    rather than counted (a NULL used to overwrite the last symbol's count)."""
+    with pytest.raises(ValueError, match=r"series b\b"):
+        nmi_table(_holed_frame(spark, absent=absent))
