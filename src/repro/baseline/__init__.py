@@ -10,8 +10,9 @@ temporal databases using periodic summaries") in two phases:
 2. mine temporal patterns from the recurring sets, then apply the full
    seasonal check.
 
-``pstree``   — the FP-tree-style prefix tree with per-node tid lists and
-               periodic summaries (the PS-tree substrate);
+``pstree``   — the FP-tree-style prefix tree with per-node tid lists
+               (the PS-tree substrate; no periodic summaries, because
+               their gate is off: DESIGN.md, "Baseline gate");
 ``psgrowth`` — recursive conditional-tree mining of recurring itemsets;
 ``aps``      — the 2-phase APS-growth adaptation used as the paper's
                experimental baseline (exact, but slower / heavier than

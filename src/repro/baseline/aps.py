@@ -40,7 +40,6 @@ def mine_aps(dseq: DSeq, params: STPMParams) -> MiningResult:
         transactions,
         min_season=params.min_season,
         min_density=params.min_density,
-        max_period=params.max_period,
         max_k=params.max_k,
     )
     res.stats["n_recurring_itemsets"] = len(itemsets)

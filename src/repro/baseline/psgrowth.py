@@ -8,7 +8,7 @@ recurring gate of the seasonal adaptation: an itemset survives iff
 PS-growth paper's own local-periodicity gate (dense summary blocks) is
 *not* anti-monotonic for seasonal temporal patterns — the very problem
 the STPM paper formalizes — so using it here would lose patterns; the
-support bound is the tightest safe gate (DESIGN.md, "Baseline").
+support bound is the tightest safe gate (DESIGN.md, "Baseline gate").
 """
 from __future__ import annotations
 
@@ -21,7 +21,6 @@ def _recurse(
     out: dict[tuple[str, ...], tuple[int, ...]],
     *,
     min_count: float,
-    max_period: int,
     max_k: int,
 ) -> None:
     # least-frequent-first: reversed header insertion order approximates
@@ -57,15 +56,7 @@ def _recurse(
                 continue
             for tid in path_tids:
                 cond_txns.setdefault(tid, []).extend(items)
-        cond_tree = build_tree(cond_txns, order, max_period)
-        _recurse(
-            cond_tree,
-            itemset,
-            out,
-            min_count=min_count,
-            max_period=max_period,
-            max_k=max_k,
-        )
+        _recurse(build_tree(cond_txns, order), itemset, out, min_count=min_count, max_k=max_k)
 
 
 def ps_growth(
@@ -73,14 +64,16 @@ def ps_growth(
     *,
     min_season: int,
     min_density: int,
-    max_period: int,
+    max_period: int | None = None,
     max_k: int,
 ) -> dict[tuple[str, ...], tuple[int, ...]]:
     """Mine recurring itemsets (size <= max_k) with their exact tid sets.
 
     ``transactions`` maps granule position -> event keys present there.
     Returns itemset (sorted tuple) -> sorted tid tuple for every itemset
-    passing the maxSeason recurring gate.
+    passing the maxSeason recurring gate. ``max_period`` is accepted and
+    unused: it would only feed PS-growth's own periodicity gate, which is
+    deliberately off (module docstring; DESIGN.md, "Baseline gate").
     """
     min_count = min_season * min_density
     supports: dict[str, set[int]] = {}
@@ -92,14 +85,6 @@ def ps_growth(
         it: i
         for i, it in enumerate(sorted(frequent, key=lambda x: (-len(supports[x]), x)))
     }
-    tree = build_tree(transactions, order, max_period)
     out: dict[tuple[str, ...], tuple[int, ...]] = {}
-    _recurse(
-        tree,
-        (),
-        out,
-        min_count=min_count,
-        max_period=max_period,
-        max_k=max_k,
-    )
+    _recurse(build_tree(transactions, order), (), out, min_count=min_count, max_k=max_k)
     return out

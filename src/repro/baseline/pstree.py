@@ -1,62 +1,34 @@
-"""PS-tree: prefix tree over granule transactions with periodic summaries.
+"""PS-tree: prefix tree over granule transactions with per-node tid lists.
 
 The tree is FP-tree shaped: transactions are inserted root-down with
 items in a global frequency order, and a header table links all nodes of
 an item. Where an FP-tree node keeps a count, a PS-tree node keeps the
-*tid list* of the transactions routed through it plus a *periodic
-summary* — maximal runs of tids whose consecutive gaps are at most
-``max_period``, stored as ``(first, last, count)`` blocks. The summary
-is the PS-growth paper's compact periodicity sketch; the tid list makes
-the adapted seasonal check exact (DESIGN.md discusses why the sketch
-alone is unsound for seasonal temporal patterns).
+*tid list* of the transactions routed through it, which makes the
+adapted seasonal check exact. The PS-growth paper also keeps a periodic
+summary per node for its local-periodicity gate; that gate is off here
+(DESIGN.md, "Baseline gate"), so no summary is kept.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass, field
-
-
-@dataclass
-class PeriodSummary:
-    """Compressed occurrence sketch: blocks of near (gap <= maxPeriod) tids."""
-
-    max_period: int
-    blocks: list[list[int]] = field(default_factory=list)  # [first, last, count]
-
-    def add(self, tid: int) -> None:
-        if self.blocks and tid - self.blocks[-1][1] <= self.max_period:
-            self.blocks[-1][1] = tid
-            self.blocks[-1][2] += 1
-        else:
-            self.blocks.append([tid, tid, 1])
-
-    def n_dense_blocks(self, min_density: int) -> int:
-        return sum(1 for b in self.blocks if b[2] >= min_density)
 
 
 class PSNode:
     """One prefix-tree node: an item with the tids routed through it."""
 
-    __slots__ = ("item", "parent", "children", "tids", "summary", "link")
+    __slots__ = ("item", "parent", "children", "tids", "link")
 
-    def __init__(self, item: str | None, parent: "PSNode | None", max_period: int):
+    def __init__(self, item: str | None, parent: "PSNode | None"):
         self.item = item
         self.parent = parent
         self.children: dict[str, PSNode] = {}
         self.tids: list[int] = []
-        self.summary = PeriodSummary(max_period)
         self.link: PSNode | None = None  # next node of same item (header chain)
-
-    def add_tid(self, tid: int) -> None:
-        self.tids.append(tid)
-        self.summary.add(tid)
 
 
 class PSTree:
     """The tree plus its header table. Items are inserted in ``order``."""
 
-    def __init__(self, max_period: int):
-        self.max_period = max_period
-        self.root = PSNode(None, None, max_period)
+    def __init__(self):
+        self.root = PSNode(None, None)
         self.header: dict[str, PSNode] = {}
         self._header_tail: dict[str, PSNode] = {}
 
@@ -66,14 +38,14 @@ class PSTree:
         for item in items:
             child = node.children.get(item)
             if child is None:
-                child = PSNode(item, node, self.max_period)
+                child = PSNode(item, node)
                 node.children[item] = child
                 if item in self._header_tail:
                     self._header_tail[item].link = child
                 else:
                     self.header[item] = child
                 self._header_tail[item] = child
-            child.add_tid(tid)
+            child.tids.append(tid)
             node = child
 
     def item_nodes(self, item: str) -> list[PSNode]:
@@ -108,10 +80,9 @@ class PSTree:
 def build_tree(
     transactions: dict[int, list[str]],
     item_order: dict[str, int],
-    max_period: int,
 ) -> PSTree:
     """Build a PS-tree from tid -> items, keeping only ordered items."""
-    tree = PSTree(max_period)
+    tree = PSTree()
     for tid in sorted(transactions):
         items = sorted(
             (i for i in set(transactions[tid]) if i in item_order),

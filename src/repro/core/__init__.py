@@ -2,8 +2,8 @@
 
 Layout
 ------
-``granularity``   granule positions, m-Finer mappings, pct->absolute thresholds
-``symbolize``     raw values -> symbol alphabet (threshold / quantile / SAX-lite)
+``granularity``   pct -> absolute granule-count thresholds
+``symbolize``     raw values -> symbol alphabet (threshold cuts)
 ``events``        temporal events, instances, Allen-style relations with epsilon
 ``sequences``     symbolic series -> temporal sequence database (D_SEQ)
 ``seasonal``      support sets, near support sets, seasons, maxSeason

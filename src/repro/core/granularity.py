@@ -7,28 +7,11 @@ rendering paper-style labels like ``G_1``/``H_1``).
 
 A coarser granularity H with ``G <=_m H`` groups ``m`` adjacent fine
 granules into one coarse granule: fine position ``t`` belongs to coarse
-granule ``t // m``.
+granule ``t // m`` (applied in :mod:`repro.core.sequences` and in
+``sparkio.transform.with_granule``). This module holds the conversion of
+percentage thresholds to granule counts.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
-
-
-def coarse_granule(t: int, m: int) -> int:
-    """Coarse-granule position of fine instant ``t`` under ``G <=_m H``."""
-    if m <= 0:
-        raise ValueError(f"m must be >= 1, got {m}")
-    return t // m
-
-
-def fine_span(h: int, m: int) -> tuple[int, int]:
-    """Inclusive fine-granule range ``[start, end]`` covered by coarse granule h."""
-    return h * m, (h + 1) * m - 1
-
-
-def period(p_i: int, p_j: int) -> int:
-    """Period between two granules of the same granularity (Def. 3.5)."""
-    return abs(p_i - p_j)
 
 
 def pct_to_count(pct: float, n_granules: int, *, minimum: int = 1) -> int:
@@ -42,31 +25,3 @@ def pct_to_count(pct: float, n_granules: int, *, minimum: int = 1) -> int:
     if pct < 0:
         raise ValueError(f"percentage must be >= 0, got {pct}")
     return max(minimum, round(pct / 100.0 * n_granules))
-
-
-@dataclass(frozen=True)
-class GranularityHierarchy:
-    """A chain of granularities over one time domain (Def. 3.4).
-
-    ``factors[i]`` is the m such that level i is m-Finer than level i+1,
-    e.g. ``("5min", "15min", "1h")`` with ``factors=(3, 4)``.
-    """
-
-    names: tuple[str, ...]
-    factors: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.factors) != len(self.names) - 1:
-            raise ValueError("need exactly one factor per adjacent level pair")
-        if any(f < 1 for f in self.factors):
-            raise ValueError("factors must be >= 1")
-
-    def m_between(self, finer: str, coarser: str) -> int:
-        """Cumulative m such that ``finer <=_m coarser``."""
-        i, j = self.names.index(finer), self.names.index(coarser)
-        if i > j:
-            raise ValueError(f"{finer!r} is not finer than {coarser!r}")
-        m = 1
-        for f in self.factors[i:j]:
-            m *= f
-        return m

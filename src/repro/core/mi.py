@@ -106,11 +106,11 @@ def nmi_from_joint_counts(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return nmi_over(px), nmi_over(py)
 
 
-def pair_min_nmis(symbolic: Mapping[str, Sequence[str]]) -> dict[frozenset, float]:
-    """min(NMI(X;Y), NMI(Y;X)) for every unordered pair of aligned series.
-
-    The series must be complete: equal lengths and no missing instant.
-    """
+def _pair_nmis(
+    symbolic: Mapping[str, Sequence[str]],
+) -> tuple[list[str], list[tuple[int, int]], np.ndarray, np.ndarray]:
+    """``(names, pairs, nmi_xy, nmi_yx)`` over every pair ``i < j`` of the
+    sorted series names, the two NMI directions aligned with ``pairs``."""
     names = sorted(symbolic)
     lengths = {len(symbolic[s]) for s in names}
     if len(lengths) > 1:
@@ -133,6 +133,15 @@ def pair_min_nmis(symbolic: Mapping[str, Sequence[str]]) -> dict[frozenset, floa
         joint += codes[j]
         counts[p] = np.bincount(joint, minlength=k * k)
     nmi_xy, nmi_yx = nmi_from_joint_counts(counts.reshape(-1, k, k))
+    return names, pairs, nmi_xy, nmi_yx
+
+
+def pair_min_nmis(symbolic: Mapping[str, Sequence[str]]) -> dict[frozenset, float]:
+    """min(NMI(X;Y), NMI(Y;X)) for every unordered pair of aligned series.
+
+    The series must be complete: equal lengths and no missing instant.
+    """
+    names, pairs, nmi_xy, nmi_yx = _pair_nmis(symbolic)
     return {
         frozenset((names[i], names[j])): v
         for (i, j), v in zip(pairs, np.minimum(nmi_xy, nmi_yx).tolist())

@@ -1,42 +1,19 @@
 """Symbolic representation of time series (Defs. 3.7-3.8).
 
-The mapping function ``f: X -> Sigma_X`` is realized three ways:
-
-* ``threshold_symbols``  — fixed cut points (ON/OFF-style binary alphabets,
-  as in the paper's running example);
-* ``quantile_symbols``   — equal-frequency bins estimated from the data;
-* ``sax_symbols``        — SAX-lite: z-normalize then cut at standard
-  normal breakpoints (the paper cites SAX [39] as its mapping function).
-
-All three are deterministic in their inputs and are mirrored 1:1 by the
-Spark-side expressions in :mod:`repro.sparkio.transform`, which the
-DuckDB oracle cross-checks.
+The mapping function ``f: X -> Sigma_X`` is ``threshold_symbols``: fixed
+ascending cut points, one label per bin. One cut gives the ON/OFF binary
+alphabet of the paper's running example; several cuts give multi-symbol
+alphabets (SAX [39], which the paper cites, is such a cut set applied to
+z-normalised values). The
+Spark path uses the same rule, ``sparkio.transform.symbolize_threshold``,
+which the DuckDB oracle cross-checks.
 """
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from typing import Sequence
 
-import numpy as np
-
-#: Standard-normal breakpoints for alphabet sizes 2..6 (SAX Table).
-_GAUSS_BREAKPOINTS = {
-    2: [0.0],
-    3: [-0.43, 0.43],
-    4: [-0.67, 0.0, 0.67],
-    5: [-0.84, -0.25, 0.25, 0.84],
-    6: [-0.97, -0.43, 0.0, 0.43, 0.97],
-}
-
 DEFAULT_ALPHABET = "0123456789"
-
-
-def _labels(n_bins: int, alphabet: Sequence[str] | None) -> list[str]:
-    labels = list(alphabet) if alphabet is not None else list(DEFAULT_ALPHABET[:n_bins])
-    if len(labels) != n_bins:
-        raise ValueError(f"need {n_bins} labels, got {len(labels)}")
-    return labels
 
 
 def threshold_symbols(
@@ -49,30 +26,8 @@ def threshold_symbols(
     cuts = list(cuts)
     if sorted(cuts) != cuts:
         raise ValueError("cuts must be ascending")
-    labels = _labels(len(cuts) + 1, alphabet)
+    n_bins = len(cuts) + 1
+    labels = list(alphabet) if alphabet is not None else list(DEFAULT_ALPHABET[:n_bins])
+    if len(labels) != n_bins:
+        raise ValueError(f"need {n_bins} labels, got {len(labels)}")
     return [labels[bisect_right(cuts, v)] for v in values]
-
-
-def quantile_symbols(
-    values: Sequence[float], n_bins: int, *, alphabet: Sequence[str] | None = None
-) -> list[str]:
-    """Equal-frequency binning; degenerate quantiles collapse bins safely."""
-    arr = np.asarray(values, dtype=float)
-    qs = np.quantile(arr, np.linspace(0, 1, n_bins + 1)[1:-1])
-    cuts = sorted(set(float(q) for q in qs))
-    labels = _labels(n_bins, alphabet)
-    return [labels[min(bisect_right(cuts, v), n_bins - 1)] for v in arr]
-
-
-def sax_symbols(
-    values: Sequence[float], n_bins: int, *, alphabet: Sequence[str] | None = None
-) -> list[str]:
-    """SAX-lite: z-normalize then cut at standard-normal breakpoints."""
-    if n_bins not in _GAUSS_BREAKPOINTS:
-        raise ValueError(f"alphabet size {n_bins} unsupported (2..6)")
-    arr = np.asarray(values, dtype=float)
-    mu, sd = float(arr.mean()), float(arr.std())
-    z = (arr - mu) / sd if sd > 0 and not math.isclose(sd, 0.0) else np.zeros_like(arr)
-    cuts = _GAUSS_BREAKPOINTS[n_bins]
-    labels = _labels(n_bins, alphabet)
-    return [labels[bisect_right(cuts, v)] for v in z]

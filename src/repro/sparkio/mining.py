@@ -18,6 +18,7 @@ from typing import Iterable
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
+from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
 from ..core.astpm import mine_approx, pct_events_pruned, screen_correlated
@@ -87,6 +88,28 @@ def _symbols_from_pdf(pdf: pd.DataFrame) -> dict[str, list[str | None]]:
     return out
 
 
+def _reject_holes(sym_df: DataFrame) -> None:
+    """A-STPM's input contract, checked on the driver before any task runs.
+
+    MI needs complete, aligned series, as in
+    :func:`repro.core.mi.pair_min_nmis`: a NULL symbol or an absent row at
+    any instant ``0..max(t)`` of its group raises a ``ValueError`` naming
+    the series.
+    """
+    per_series = (
+        sym_df.groupBy("group", "series")
+        .agg(F.count("symbol").alias("n"), F.max("t").alias("last"))
+        .toPandas()
+    )
+    n_instants = per_series.groupby("group")["last"].transform("max") + 1
+    holed = per_series[per_series["n"] < n_instants]
+    if len(holed):
+        raise ValueError(
+            "series with missing instants (NULL or absent rows): "
+            + ", ".join(f"series {r.series} in group {r.group}" for r in holed.itertuples())
+        )
+
+
 def mine_groups(
     sym_df: DataFrame,
     params: STPMParams,
@@ -97,9 +120,14 @@ def mine_groups(
     apriori: bool = True,
     transitivity: bool = True,
 ) -> DataFrame:
-    """Run the miner per group over ``(group, series, t, symbol)`` rows."""
+    """Run the miner per group over ``(group, series, t, symbol)`` rows.
+
+    A-STPM rejects a series with a missing instant (``_reject_holes``).
+    """
     if miner not in MINERS:
         raise ValueError(f"miner must be one of {MINERS}, got {miner!r}")
+    if miner == "astpm":
+        _reject_holes(sym_df)
 
     def fn(pdf: pd.DataFrame) -> pd.DataFrame:
         group = int(pdf["group"].iloc[0])
@@ -126,7 +154,11 @@ def screen_stats(
     *,
     ignore_symbols: frozenset = frozenset(),
 ) -> DataFrame:
-    """A-STPM screening only: per-group pruned series/events percentages."""
+    """A-STPM screening only: per-group pruned series/events percentages.
+
+    Rejects a series with a missing instant, as ``mine_groups`` does.
+    """
+    _reject_holes(sym_df)
 
     def fn(pdf: pd.DataFrame) -> pd.DataFrame:
         group = int(pdf["group"].iloc[0])

@@ -60,15 +60,6 @@ def extract_instances(sym_df: DataFrame, m: int) -> DataFrame:
     )
 
 
-def event_supports(instances: DataFrame) -> DataFrame:
-    """Support-set sizes per event: ``(group, event, sup_size)`` (Def. 3.14)."""
-    return (
-        instances.withColumn("event", F.concat_ws(":", "series", "symbol"))
-        .groupBy("group", "event")
-        .agg(F.countDistinct("granule").alias("sup_size"))
-    )
-
-
 def dseq_stats(instances: DataFrame) -> DataFrame:
     """Table-V style characteristics per group.
 

@@ -5,7 +5,7 @@ import pytest
 
 from repro.baseline.aps import mine_aps
 from repro.baseline.psgrowth import ps_growth
-from repro.baseline.pstree import PeriodSummary, build_tree
+from repro.baseline.pstree import build_tree
 from repro.core.estpm import mine
 from repro.core.seasonal import STPMParams
 from repro.core.sequences import build_dseq
@@ -14,26 +14,11 @@ from .paper_example import EXAMPLE_PARAMS, example_dseq
 from .test_estpm import random_symbolic, seasonal_symbolic
 
 
-class TestPeriodSummary:
-    def test_blocks_split_on_gap(self):
-        s = PeriodSummary(max_period=2)
-        for t in (0, 1, 2, 6, 7, 10, 11, 13):
-            s.add(t)
-        assert [tuple(b) for b in s.blocks] == [(0, 2, 3), (6, 7, 2), (10, 13, 3)]
-
-    def test_dense_blocks(self):
-        s = PeriodSummary(max_period=2)
-        for t in (0, 1, 2, 6, 7, 10, 11, 13):
-            s.add(t)
-        assert s.n_dense_blocks(3) == 2
-        assert s.n_dense_blocks(2) == 3
-
-
 class TestPSTree:
     def test_build_and_prefix_paths(self):
         txns = {0: ["a", "b"], 1: ["a"], 2: ["a", "b", "c"], 3: ["b", "c"]}
         order = {"a": 0, "b": 1, "c": 2}
-        tree = build_tree(txns, order, max_period=2)
+        tree = build_tree(txns, order)
         assert tree.n_nodes() == 5  # a, a-b, a-b-c, b, b-c
         paths = tree.prefix_paths("c")
         assert sorted((tuple(p), tuple(t)) for p, t in paths) == [
@@ -43,11 +28,11 @@ class TestPSTree:
 
     def test_header_chains_all_nodes(self):
         txns = {0: ["a", "b"], 1: ["b"]}
-        tree = build_tree(txns, {"a": 0, "b": 1}, max_period=1)
+        tree = build_tree(txns, {"a": 0, "b": 1})
         assert len(tree.item_nodes("b")) == 2
 
     def test_items_not_in_order_dropped(self):
-        tree = build_tree({0: ["a", "zzz"]}, {"a": 0}, max_period=1)
+        tree = build_tree({0: ["a", "zzz"]}, {"a": 0})
         assert tree.n_nodes() == 1
 
 
@@ -55,21 +40,21 @@ class TestPSGrowth:
     def test_finds_cooccurring_itemsets(self):
         txns = {i: ["a", "b"] for i in range(10)}
         txns.update({i: ["a"] for i in range(10, 15)})
-        out = ps_growth(txns, min_season=2, min_density=3, max_period=2, max_k=2)
+        out = ps_growth(txns, min_season=2, min_density=3, max_k=2)
         assert ("a",) in out and ("b",) in out and ("a", "b") in out
         assert out[("a", "b")] == tuple(range(10))
         assert out[("a",)] == tuple(range(15))
 
     def test_respects_max_k(self):
         txns = {i: ["a", "b", "c"] for i in range(12)}
-        out = ps_growth(txns, min_season=2, min_density=3, max_period=2, max_k=2)
+        out = ps_growth(txns, min_season=2, min_density=3, max_k=2)
         assert all(len(k) <= 2 for k in out)
-        out3 = ps_growth(txns, min_season=2, min_density=3, max_period=2, max_k=3)
+        out3 = ps_growth(txns, min_season=2, min_density=3, max_k=3)
         assert ("a", "b", "c") in out3
 
     def test_infrequent_pruned(self):
         txns = {i: (["a", "b"] if i < 3 else ["a"]) for i in range(20)}
-        out = ps_growth(txns, min_season=2, min_density=3, max_period=2, max_k=2)
+        out = ps_growth(txns, min_season=2, min_density=3, max_k=2)
         assert ("b",) not in out and ("a", "b") not in out
 
     def test_matches_bruteforce_intersections(self):
@@ -77,7 +62,7 @@ class TestPSGrowth:
         txns = {
             i: [it for it in "abcde" if rng.random() < 0.5] for i in range(40)
         }
-        out = ps_growth(txns, min_season=1, min_density=1, max_period=3, max_k=3)
+        out = ps_growth(txns, min_season=1, min_density=1, max_k=3)
         # oracle: direct tid-set intersections
         from itertools import combinations
 

@@ -2,13 +2,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core.granularity import (
-    GranularityHierarchy,
-    coarse_granule,
-    fine_span,
-    pct_to_count,
-    period,
-)
+from repro.core.granularity import pct_to_count
 from repro.core.sequences import (
     build_dseq,
     build_dseq_from_instances,
@@ -18,37 +12,11 @@ from repro.core.events import EventInstance
 
 
 class TestGranularity:
-    def test_coarse_granule(self):
-        assert coarse_granule(0, 3) == 0
-        assert coarse_granule(2, 3) == 0
-        assert coarse_granule(3, 3) == 1
-
-    def test_fine_span(self):
-        assert fine_span(0, 3) == (0, 2)
-        assert fine_span(2, 3) == (6, 8)
-
-    def test_period(self):
-        assert period(1, 6) == 5  # Minute_1 .. Minute_6 example
-
     def test_pct_to_count(self):
         # paper Table VI: maxPeriod 0.2% of a 1460-granule D_SEQ -> 3
         assert pct_to_count(0.2, 1460) == 3
         assert pct_to_count(0.5, 1460) == 7
         assert pct_to_count(0.0001, 100) == 1  # floor at 1
-
-    def test_hierarchy(self):
-        h = GranularityHierarchy(("5min", "15min", "1h"), (3, 4))
-        assert h.m_between("5min", "15min") == 3
-        assert h.m_between("5min", "1h") == 12
-        assert h.m_between("15min", "15min") == 1
-        with pytest.raises(ValueError):
-            h.m_between("1h", "5min")
-
-    def test_hierarchy_validation(self):
-        with pytest.raises(ValueError):
-            GranularityHierarchy(("a", "b"), ())
-        with pytest.raises(ValueError):
-            GranularityHierarchy(("a", "b"), (0,))
 
 
 class TestRLE:

@@ -1,10 +1,11 @@
-"""DataFrame-side MI vs DuckDB (joint counts) and core.mi (NMI values)."""
+"""DataFrame-side MI vs core.mi, and A-STPM's input contract on Spark."""
 import pytest
 
-from repro.core.mi import nmi
+from repro.core.mi import nmi, pair_min_nmis
+from repro.core.seasonal import STPMParams
 from repro.datasets import gen_symbols
-from repro.oracle import assert_equivalent
-from repro.sparkio.mi_spark import nmi_table, pair_joint_counts
+from repro.sparkio.mi_spark import nmi_table
+from repro.sparkio.mining import mine_groups, screen_stats
 
 from .spark_helpers import SYM_SCHEMA, symbols_long_pdf, tiny_profile
 
@@ -18,25 +19,11 @@ def sym_df(spark):
     return spark.createDataFrame(symbols_long_pdf(PROFILE, n_groups=2)).cache()
 
 
-def test_joint_counts_match_duckdb(sym_df):
-    out = pair_joint_counts(sym_df)
-    assert_equivalent(
-        out,
-        """
-        SELECT a."group", a.series AS sx, b.series AS sy,
-               a.symbol AS symx, b.symbol AS symy, COUNT(*) AS n
-        FROM sym a JOIN sym b
-          ON a."group" = b."group" AND a.t = b.t AND a.series < b.series
-        GROUP BY a."group", sx, sy, symx, symy
-        """,
-        sym=sym_df.toPandas(),
-    )
-
-
 def test_nmi_matches_core(sym_df):
     table = nmi_table(sym_df)
     for g in range(2):
         symbols = gen_symbols(PROFILE, g)
+        min_nmis = pair_min_nmis(symbols)
         sub = table[table["group"] == g]
         assert len(sub) == 6 * 5 // 2
         for row in sub.itertuples(index=False):
@@ -45,6 +32,7 @@ def test_nmi_matches_core(sym_df):
             assert row.nmi_xy == pytest.approx(expect_xy, abs=1e-9)
             assert row.nmi_yx == pytest.approx(expect_yx, abs=1e-9)
             assert row.min_nmi == pytest.approx(min(expect_xy, expect_yx), abs=1e-9)
+            assert row.min_nmi == min_nmis[frozenset((row.sx, row.sy))]
 
 
 def test_copy_pair_high_noise_pair_low(sym_df):
@@ -62,9 +50,21 @@ def _holed_frame(spark, *, absent: bool):
     return spark.createDataFrame(rows, SYM_SCHEMA)
 
 
+PARAMS = STPMParams(max_period=1, min_density=1, dist_min=1, dist_max=4, min_season=1)
+
+#: every A-STPM entry point on Spark, run to the end
+ASTPM_ENTRY_POINTS = {
+    "nmi_table": nmi_table,
+    "mine_groups": lambda df: mine_groups(df, PARAMS, 2, miner="astpm").toPandas(),
+    "screen_stats": lambda df: screen_stats(df, PARAMS, 2).toPandas(),
+}
+
+
+@pytest.mark.parametrize("entry", list(ASTPM_ENTRY_POINTS))
 @pytest.mark.parametrize("absent", [False, True], ids=["null", "absent"])
-def test_holed_series_is_rejected_by_name(spark, absent):
-    """As ``pair_min_nmis`` does, a series missing an instant is refused
-    rather than counted (a NULL used to overwrite the last symbol's count)."""
+def test_holed_series_is_rejected_by_name(spark, absent, entry):
+    """As ``pair_min_nmis`` does, a series missing an instant is refused on
+    the driver with a ``ValueError`` naming it, not counted (a NULL used to
+    overwrite the last symbol's count) nor left to fail inside a task."""
     with pytest.raises(ValueError, match=r"series b\b"):
-        nmi_table(_holed_frame(spark, absent=absent))
+        ASTPM_ENTRY_POINTS[entry](_holed_frame(spark, absent=absent))

@@ -10,7 +10,6 @@ from repro.datasets import CUT, gen_values_pdf
 from repro.oracle import assert_equivalent
 from repro.sparkio.transform import (
     dseq_stats,
-    event_supports,
     extract_instances,
     symbolize_threshold,
     with_granule,
@@ -183,18 +182,6 @@ class TestExtractInstances:
 
 
 class TestSupportsAndStats:
-    def test_event_supports_match_duckdb(self, sym_df):
-        inst = extract_instances(sym_df, 4)
-        assert_equivalent(
-            event_supports(inst),
-            """
-            SELECT "group", series || ':' || symbol AS event,
-                   COUNT(DISTINCT granule) AS sup_size
-            FROM inst GROUP BY "group", event
-            """,
-            inst=inst.toPandas(),
-        )
-
     def test_dseq_stats_shape(self, sym_df):
         stats = dseq_stats(extract_instances(sym_df, 4)).toPandas()
         assert len(stats) == 2  # one row per group

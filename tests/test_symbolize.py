@@ -1,12 +1,7 @@
-"""Symbolization (Def. 3.7): threshold, quantile, and SAX-lite mappings."""
-import numpy as np
+"""Symbolization (Def. 3.7): threshold mappings with one or several cuts."""
 import pytest
 
-from repro.core.symbolize import (
-    quantile_symbols,
-    sax_symbols,
-    threshold_symbols,
-)
+from repro.core.symbolize import threshold_symbols
 
 
 class TestThreshold:
@@ -29,42 +24,3 @@ class TestThreshold:
     def test_rejects_wrong_label_count(self):
         with pytest.raises(ValueError):
             threshold_symbols([1], [0.5], alphabet=["only-one"])
-
-
-class TestQuantile:
-    def test_balanced_bins(self):
-        rng = np.random.default_rng(0)
-        vals = rng.normal(size=3000)
-        out = quantile_symbols(vals, 3)
-        counts = {s: out.count(s) for s in set(out)}
-        assert len(counts) == 3
-        assert all(abs(c - 1000) < 100 for c in counts.values())
-
-    def test_constant_series_single_bin(self):
-        out = quantile_symbols([5.0] * 10, 4)
-        assert len(set(out)) == 1
-
-    def test_default_alphabet(self):
-        out = quantile_symbols([1, 2, 3, 4], 2)
-        assert set(out) <= {"0", "1"}
-
-
-class TestSax:
-    def test_breakpoints_balanced_on_gaussian(self):
-        rng = np.random.default_rng(1)
-        out = sax_symbols(rng.normal(size=5000), 4)
-        counts = {s: out.count(s) for s in set(out)}
-        assert len(counts) == 4
-        assert all(abs(c - 1250) < 150 for c in counts.values())
-
-    def test_constant_series(self):
-        out = sax_symbols([3.0] * 8, 3)
-        assert len(set(out)) == 1
-
-    def test_unsupported_size(self):
-        with pytest.raises(ValueError):
-            sax_symbols([1.0, 2.0], 9)
-
-    def test_custom_alphabet(self):
-        out = sax_symbols([0.0, 100.0] * 20, 2, alphabet=["lo", "hi"])
-        assert set(out) == {"lo", "hi"}
