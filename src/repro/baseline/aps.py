@@ -24,7 +24,7 @@ from .psgrowth import ps_growth
 
 def mine_aps(dseq: DSeq, params: STPMParams) -> MiningResult:
     """Run the APS-growth baseline; returns an E-STPM-shaped result."""
-    res = MiningResult(params=params)
+    res = MiningResult()
 
     # representative instance per (event, granule), as in E-STPM
     rep: dict[str, dict[int, object]] = {}

@@ -85,19 +85,12 @@ def mine_approx(
     dseq: DSeq,
     params: STPMParams,
     *,
-    apriori: bool = True,
-    transitivity: bool = True,
     pair_nmis: Mapping[frozenset, float] | None = None,
 ) -> ApproxResult:
     """Run A-STPM: MI screening, then restricted E-STPM (Alg. 2 lines 6-10)."""
     rep = screen_correlated(symbolic, params, dseq.n_granules, pair_nmis=pair_nmis)
     mining = mine(
-        dseq,
-        params,
-        apriori=apriori,
-        transitivity=transitivity,
-        allowed_pairs=rep.correlated_pairs,
-        restrict_series=rep.kept_series,
+        dseq, params, allowed_pairs=rep.correlated_pairs, restrict_series=rep.kept_series
     )
     return ApproxResult(mining=mining, screening=rep)
 

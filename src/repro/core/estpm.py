@@ -41,7 +41,6 @@ from .sequences import DSeq
 class MiningResult:
     """Frequent seasonal events/patterns plus the mining state for reuse."""
 
-    params: STPMParams
     singles: dict[str, SeasonalVerdict] = field(default_factory=dict)
     patterns: dict[Pattern, SeasonalVerdict] = field(default_factory=dict)
     hlh1: HLH1 = field(default_factory=HLH1)
@@ -54,9 +53,6 @@ class MiningResult:
             return dict(self.patterns)
         want = k * (k - 1) // 2
         return {p: v for p, v in self.patterns.items() if len(p) == want}
-
-    def pattern_strings(self) -> list[str]:
-        return sorted(" ; ".join(f"{a} {r} {b}" for r, a, b in p) for p in self.patterns)
 
 
 def build_event_supports(dseq: DSeq) -> HLH1:
@@ -158,7 +154,7 @@ def mine(
     correlated with itself). k >= 3 proceeds exactly as E-STPM on top of
     the restricted HLH_2, mirroring Algorithm 2.
     """
-    res = MiningResult(params=params)
+    res = MiningResult()
     # the maxSeason gate (``is_candidate``) as a floor on bit counts;
     # without it a pattern needs one granule
     floor = params.min_season * params.min_density if apriori else 1

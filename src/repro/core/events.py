@@ -49,14 +49,6 @@ class EventInstance:
         """The event key ``series:symbol`` this instance belongs to."""
         return f"{self.series}:{self.symbol}"
 
-    @property
-    def duration(self) -> int:
-        return self.end - self.start + 1
-
-
-def event_key(series: str, symbol: str) -> str:
-    return f"{series}:{symbol}"
-
 
 def canonical_sort_key(inst: EventInstance) -> tuple:
     """Sort key placing potential containers first: start asc, end desc, name."""
@@ -93,8 +85,3 @@ def pair_relation(
     if rel is None:
         return None
     return rel, a, b
-
-
-def render_triple(rel: str, first: str, second: str) -> str:
-    """Human-readable triple, e.g. ``C:1 >= D:1``."""
-    return f"{first} {rel} {second}"

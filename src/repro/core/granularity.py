@@ -14,14 +14,14 @@ percentage thresholds to granule counts.
 from __future__ import annotations
 
 
-def pct_to_count(pct: float, n_granules: int, *, minimum: int = 1) -> int:
+def pct_to_count(pct: float, n_granules: int) -> int:
     """Convert a percentage-of-|D_SEQ| threshold to an absolute granule count.
 
     The paper expresses maxPeriod and minDensity as percentages of the
     temporal sequence database size (Table VI); the mining definitions use
-    absolute counts. ``max(minimum, round(...))`` keeps tiny test databases
+    absolute counts. ``max(1, round(...))`` keeps tiny test databases
     from degenerating to zero.
     """
     if pct < 0:
         raise ValueError(f"percentage must be >= 0, got {pct}")
-    return max(minimum, round(pct / 100.0 * n_granules))
+    return max(1, round(pct / 100.0 * n_granules))

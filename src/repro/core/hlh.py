@@ -21,14 +21,20 @@ of a group occurs in a granule, so a group's pattern bitsets are
 disjoint, and together they tie each granule to the pattern formed
 there (GH_k's role).
 
-A *pattern* is a tuple of rendered triples ``(rel, first_event,
-second_event)`` covering every pair of the group, sorted.
+A *pattern* is a tuple of triples ``(rel, first_event, second_event)``
+covering every pair of the group, sorted; :func:`render_pattern` writes
+it out.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 Pattern = tuple[tuple[str, str, str], ...]  # ((rel, ev_i, ev_j), ...)
+
+
+def render_pattern(pattern: Pattern) -> str:
+    """The pattern as text, its triples in order: ``C:1 >= D:1 ; C:1 -> E:1``."""
+    return " ; ".join(f"{first} {rel} {second}" for rel, first, second in pattern)
 
 
 @dataclass
@@ -49,9 +55,6 @@ class EventEntry:
 @dataclass
 class HLH1:
     events: dict[str, EventEntry] = field(default_factory=dict)
-
-    def __contains__(self, event: str) -> bool:
-        return event in self.events
 
     def __len__(self) -> int:
         return len(self.events)

@@ -1,18 +1,18 @@
 """Mutual information machinery for A-STPM (Section V).
 
-Implements entropy / conditional entropy / (normalized) mutual
-information over *aligned* symbolic series (Defs. 5.1-5.3), the Lambert
-W function (principal branch, needed by Theorem 1's lower bound — no
-scipy in this environment, so Halley iteration), and the mu threshold of
-Corollary 1.1.
+Implements entropy and (normalized) mutual information over *aligned*
+symbolic series (Defs. 5.1-5.3), the Lambert W function (principal
+branch, needed by Theorem 1's lower bound; scipy is not a dependency, so
+Halley iteration), and the mu threshold of Corollary 1.1.
 
 All logarithms are base 2, matching the paper's use of ``log`` for
 entropies and ``ln`` where it says so.
 
 Known paper wrinkle (see DESIGN.md): the main-text Eq. (14) case 2
-disagrees with the appendix derivation Eq. (37); we follow the appendix
-(``mu >= 1 - rho*lambda2*log(rho) / (ln 2 * log lambda1)``), which is
-the one actually derived from Theorem 1.
+disagrees with the appendix derivation Eq. (37); we follow the appendix,
+which is the one actually derived from Theorem 1, with the natural log
+of rho that inverting its Lambert W gives:
+``mu >= 1 - rho*lambda2*ln(rho) / ln(lambda1)``.
 """
 from __future__ import annotations
 
@@ -47,17 +47,6 @@ def joint_probabilities(xs: Sequence[str], ys: Sequence[str]) -> dict[tuple[str,
 def entropy(p: Mapping[str, float]) -> float:
     """Shannon entropy H(X) in bits (Eq. 2)."""
     return -sum(v * math.log2(v) for v in p.values() if v > 0)
-
-
-def conditional_entropy(
-    joint: Mapping[tuple[str, str], float], py: Mapping[str, float]
-) -> float:
-    """H(X|Y) in bits (Eq. 3)."""
-    out = 0.0
-    for (_, y), pxy in joint.items():
-        if pxy > 0:
-            out -= pxy * math.log2(pxy / py[y])
-    return out
 
 
 def mutual_information(xs: Sequence[str], ys: Sequence[str]) -> float:
@@ -148,10 +137,11 @@ def pair_min_nmis(symbolic: Mapping[str, Sequence[str]]) -> dict[frozenset, floa
     }
 
 
-def lambert_w(x: float, *, tol: float = 1e-12, max_iter: int = 100) -> float:
+def lambert_w(x: float) -> float:
     """Principal branch W_0: solves w * e^w = x for x >= -1/e.
 
-    Halley iteration from a standard initial guess; inputs a hair below
+    Halley iteration from a standard initial guess until a step moves w by
+    at most 1e-12 relative (100 steps at most); inputs a hair below
     -1/e (float noise from callers) are clamped to the branch point.
     """
     if x < -_E_INV:
@@ -161,12 +151,12 @@ def lambert_w(x: float, *, tol: float = 1e-12, max_iter: int = 100) -> float:
     if x == -_E_INV:
         return -1.0
     w = math.log1p(x) if x > -0.25 else -1.0 + math.sqrt(2.0 * (1.0 + math.e * x))
-    for _ in range(max_iter):
+    for _ in range(100):
         ew = math.exp(w)
         f = w * ew - x
         denom = ew * (w + 1.0) - (w + 2.0) * f / (2.0 * w + 2.0) if w != -1.0 else ew
         w_new = w - f / denom
-        if abs(w_new - w) <= tol * (1.0 + abs(w_new)):
+        if abs(w_new - w) <= 1e-12 * (1.0 + abs(w_new)):
             return w_new
         w = w_new
     return w
@@ -210,7 +200,8 @@ def mu_pair(
     log_inv_l1 = math.log2(1.0 / lambda1)
     if rho <= _E_INV:
         return 1.0 - lambda2 / (math.e * math.log(2.0) * log_inv_l1)
-    return 1.0 - rho * lambda2 * math.log2(rho) / (math.log(2.0) * math.log2(lambda1))
+    # W(a) = ln rho inverts to a = rho ln rho (DESIGN.md, "Corollary 1.1 as written")
+    return 1.0 - rho * lambda2 * math.log(rho) / (math.log(2.0) * math.log2(lambda1))
 
 
 def mu_series_pair(

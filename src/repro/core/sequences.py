@@ -96,7 +96,9 @@ def build_dseq(
 def build_dseq_from_instances(
     instances: Iterable[EventInstance], m: int, n_granules: int
 ) -> DSeq:
-    """Assemble a DSeq from event instances (``build_dseq``, the Spark path).
+    """Assemble a DSeq from event instances: ``build_dseq``'s last step,
+    and the seam where Spark's ``extract_instances`` rows would enter
+    Phase 2 directly (planned in ROADMAP.md; no Spark code calls it yet).
 
     Indexes every instance by its coarse granule and puts each row in
     canonical order. Each instance must lie inside a single coarse granule

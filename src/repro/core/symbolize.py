@@ -13,21 +13,20 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import Sequence
 
-DEFAULT_ALPHABET = "0123456789"
-
 
 def threshold_symbols(
-    values: Sequence[float], cuts: Sequence[float], *, alphabet: Sequence[str] | None = None
-) -> list[str]:
+    values: Sequence[float | None], cuts: Sequence[float], *, alphabet: Sequence[str]
+) -> list[str | None]:
     """Map each value to the bin index given ascending cut points.
 
-    ``value < cuts[0] -> label 0``; ``value >= cuts[-1] -> last label``.
+    ``value < cuts[0] -> alphabet[0]``; ``value >= cuts[-1] -> alphabet[-1]``.
+    A missing value (NaN or ``None``) maps to ``None``, a missing instant.
     """
     cuts = list(cuts)
     if sorted(cuts) != cuts:
         raise ValueError("cuts must be ascending")
-    n_bins = len(cuts) + 1
-    labels = list(alphabet) if alphabet is not None else list(DEFAULT_ALPHABET[:n_bins])
-    if len(labels) != n_bins:
-        raise ValueError(f"need {n_bins} labels, got {len(labels)}")
-    return [labels[bisect_right(cuts, v)] for v in values]
+    labels = list(alphabet)
+    if len(labels) != len(cuts) + 1:
+        raise ValueError(f"need {len(cuts) + 1} labels, got {len(labels)}")
+    # v != v holds for NaN alone
+    return [None if v is None or v != v else labels[bisect_right(cuts, v)] for v in values]

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import pandas as pd
 
 from ..core.estpm import mine
+from ..core.hlh import render_pattern
 from ..core.seasonal import STPMParams
 from ..core.sequences import build_dseq
 from ..datasets import DatasetProfile, Family, SeriesSpec, gen_symbols
@@ -44,7 +45,7 @@ def season_months(season_positions: list[int]) -> list[str]:
 @dataclass(frozen=True)
 class ExpectedPattern:
     dataset: str
-    pattern: str  # rendered triple(s), e.g. "StrongWind:1 >= HighWindPower:1"
+    pattern: str  # render_pattern's text, e.g. "StrongWind:1 >= HighWindPower:1"
     months: tuple[str, ...]
 
 
@@ -150,10 +151,7 @@ def table08_qualitative(datasets=("re", "inf", "sc", "hfm")) -> pd.DataFrame:
             min_season=3, max_k=3,
         )
         res = mine(dseq, params)
-        rendered = {
-            " ; ".join(f"{a} {r} {b}" for r, a, b in pat): v
-            for pat, v in res.patterns.items()
-        }
+        rendered = {render_pattern(pat): v for pat, v in res.patterns.items()}
         for exp in expected:
             hit = rendered.get(exp.pattern)
             months: list[str] = []

@@ -266,21 +266,6 @@ def epsilon_table(
     return pd.DataFrame(rows)
 
 
-# ---------------------------------------------------------------- Table XI aux
-def screening_mu_report(dataset: str, n_series: int = 50) -> pd.DataFrame:
-    """Diagnostic: per-pair (minNMI, mu) for the scaled dataset."""
-    p = scaled_profile(dataset, n_series)
-    symbols, dseq = _dataset(p)
-    params = params_for(p, max_period_pct=0.4, min_density_pct=0.5, min_season=12, max_k=1)
-    rep = screen_correlated(symbols, params, dseq.n_granules, pair_nmis=pair_min_nmis(symbols))
-    rows = [
-        dict(pair="|".join(sorted(k)), min_nmi=round(v[0], 4), mu=round(v[1], 4),
-             correlated=k in rep.correlated_pairs)
-        for k, v in rep.pair_scores.items()
-    ]
-    return pd.DataFrame(rows)
-
-
 # --------------------------------------------------- runtime comparison (Figs)
 def runtime_comparison(
     dataset: str = "inf", *, repeats: int = 1, max_period_pct=0.4,

@@ -6,9 +6,6 @@ baseline) inside ``applyInPandas``, so each partition executes the full
 pruning machinery locally — the layering the repro band prescribes for
 this paper. The returned DataFrame has one row per frequent seasonal
 single event or pattern.
-
-``screen_stats`` runs only A-STPM's MI screening per group and reports
-the pruned-series / pruned-events percentages (paper Table XI).
 """
 from __future__ import annotations
 
@@ -21,8 +18,9 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
-from ..core.astpm import mine_approx, pct_events_pruned, screen_correlated
+from ..core.astpm import mine_approx
 from ..core.estpm import MiningResult, mine
+from ..core.hlh import render_pattern
 from ..core.seasonal import STPMParams
 from ..core.sequences import build_dseq
 from ..baseline.aps import mine_aps
@@ -39,25 +37,7 @@ RESULT_SCHEMA = T.StructType(
     ]
 )
 
-SCREEN_SCHEMA = T.StructType(
-    [
-        T.StructField("group", T.IntegerType()),
-        T.StructField("n_series", T.IntegerType()),
-        T.StructField("n_series_pruned", T.IntegerType()),
-        T.StructField("pct_series_pruned", T.DoubleType()),
-        T.StructField("pct_events_pruned", T.DoubleType()),
-    ]
-)
-
 MINERS = ("estpm", "astpm", "aps")
-
-
-def _pattern_len_to_k(n_triples: int) -> int:
-    # n_triples = k(k-1)/2
-    k = 2
-    while k * (k - 1) // 2 < n_triples:
-        k += 1
-    return k
 
 
 def _result_rows(group: int, res: MiningResult) -> Iterable[dict]:
@@ -69,9 +49,8 @@ def _result_rows(group: int, res: MiningResult) -> Iterable[dict]:
         )
     for pattern, v in sorted(res.patterns.items()):
         yield dict(
-            group=group, kind="pattern",
-            pattern=" ; ".join(f"{a} {r} {b}" for r, a, b in pattern),
-            k=_pattern_len_to_k(len(pattern)),
+            group=group, kind="pattern", pattern=render_pattern(pattern),
+            k=len({ev for _, first, second in pattern for ev in (first, second)}),
             sup_size=len(v.sup), n_seasons=v.n_seasons,
             season_starts=json.dumps([s[0] for s in v.seasons]),
         )
@@ -117,8 +96,6 @@ def mine_groups(
     *,
     miner: str = "estpm",
     ignore_symbols: frozenset = frozenset(),
-    apriori: bool = True,
-    transitivity: bool = True,
 ) -> DataFrame:
     """Run the miner per group over ``(group, series, t, symbol)`` rows.
 
@@ -134,47 +111,12 @@ def mine_groups(
         symbols = _symbols_from_pdf(pdf)
         dseq = build_dseq(symbols, m, ignore_symbols=ignore_symbols)
         if miner == "estpm":
-            res = mine(dseq, params, apriori=apriori, transitivity=transitivity)
+            res = mine(dseq, params)
         elif miner == "astpm":
-            res = mine_approx(
-                symbols, dseq, params, apriori=apriori, transitivity=transitivity
-            ).mining
+            res = mine_approx(symbols, dseq, params).mining
         else:
             res = mine_aps(dseq, params)
         rows = list(_result_rows(group, res))
         return pd.DataFrame(rows, columns=[f.name for f in RESULT_SCHEMA.fields])
 
     return sym_df.groupBy("group").applyInPandas(fn, RESULT_SCHEMA)
-
-
-def screen_stats(
-    sym_df: DataFrame,
-    params: STPMParams,
-    m: int,
-    *,
-    ignore_symbols: frozenset = frozenset(),
-) -> DataFrame:
-    """A-STPM screening only: per-group pruned series/events percentages.
-
-    Rejects a series with a missing instant, as ``mine_groups`` does.
-    """
-    _reject_holes(sym_df)
-
-    def fn(pdf: pd.DataFrame) -> pd.DataFrame:
-        group = int(pdf["group"].iloc[0])
-        symbols = _symbols_from_pdf(pdf)
-        dseq = build_dseq(symbols, m, ignore_symbols=ignore_symbols)
-        rep = screen_correlated(symbols, params, dseq.n_granules)
-        return pd.DataFrame(
-            [
-                dict(
-                    group=group,
-                    n_series=rep.n_series,
-                    n_series_pruned=len(rep.pruned_series),
-                    pct_series_pruned=rep.pct_series_pruned,
-                    pct_events_pruned=pct_events_pruned(dseq, rep, params),
-                )
-            ]
-        )
-
-    return sym_df.groupBy("group").applyInPandas(fn, SCREEN_SCHEMA)

@@ -16,14 +16,17 @@ def symbolize_threshold(df: DataFrame, cuts: list[float], labels: list[str]) -> 
     """Map ``value`` to a symbol via ascending cut points (Def. 3.7).
 
     Mirrors :func:`repro.core.symbolize.threshold_symbols`: value < cuts[0]
-    -> labels[0], ..., value >= cuts[-1] -> labels[-1].
+    -> labels[0], ..., value >= cuts[-1] -> labels[-1], and a NULL or NaN
+    value -> a NULL symbol, a missing instant (Spark orders NaN above
+    every number, so no cut alone keeps it from the top label).
     """
     if len(labels) != len(cuts) + 1:
         raise ValueError("need len(cuts)+1 labels")
+    value = F.col("value")
     expr = F.lit(labels[-1])
     for cut, label in zip(reversed(cuts), reversed(labels[:-1])):
-        expr = F.when(F.col("value") < F.lit(cut), F.lit(label)).otherwise(expr)
-    return df.withColumn("symbol", expr)
+        expr = F.when(value < F.lit(cut), F.lit(label)).otherwise(expr)
+    return df.withColumn("symbol", F.when(~(value.isNull() | F.isnan(value)), expr))
 
 
 def with_granule(df: DataFrame, m: int) -> DataFrame:

@@ -1,8 +1,7 @@
-"""Shared helpers for the Spark-layer tests: a tiny profile + frames."""
-import pandas as pd
+"""Shared helpers for the Spark-layer tests: a tiny profile, the symbol schema."""
 from pyspark.sql import types as T
 
-from repro.datasets import DatasetProfile, Family, SeriesSpec, gen_symbols
+from repro.datasets import DatasetProfile, Family, SeriesSpec
 
 #: the long-format symbol frame, stated so NULL symbols need no inference
 SYM_SCHEMA = T.StructType(
@@ -36,21 +35,3 @@ def tiny_profile(seed: int = 0, n_granules: int = 48) -> DatasetProfile:
         series=series,
         seed=seed,
     )
-
-
-def symbols_long_pdf(profile: DatasetProfile, n_groups: int = 1) -> pd.DataFrame:
-    """Long-format (group, series, t, symbol) frame from exact symbols."""
-    frames = []
-    for g in range(n_groups):
-        for series, syms in gen_symbols(profile, g).items():
-            frames.append(
-                pd.DataFrame(
-                    {
-                        "group": g,
-                        "series": series,
-                        "t": range(len(syms)),
-                        "symbol": syms,
-                    }
-                )
-            )
-    return pd.concat(frames, ignore_index=True)

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from repro.core.estpm import mine
+from repro.core.hlh import render_pattern
 from repro.core.seasonal import STPMParams
 from repro.core.sequences import build_dseq
 from repro.datasets import (
@@ -125,6 +126,6 @@ class TestMinability:
         )
         res = mine(dseq, params)
         assert len(res.singles) >= 3
-        pats = res.pattern_strings()
+        pats = {render_pattern(p) for p in res.patterns}
         assert "wind_drv:1 >= wind_con:1" in pats
         assert "wind_drv:1 -> wind_fol:1" in pats

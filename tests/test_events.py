@@ -9,10 +9,9 @@ from repro.core.events import (
     EventInstance,
     canonical_sort_key,
     relation,
-    event_key,
     pair_relation,
-    render_triple,
 )
+from repro.core.hlh import render_pattern
 
 
 def inst(s, e, series="A", symbol="1"):
@@ -22,11 +21,6 @@ def inst(s, e, series="A", symbol="1"):
 class TestEventInstance:
     def test_event_key(self):
         assert inst(0, 1, "C", "1").event == "C:1"
-        assert event_key("C", "1") == "C:1"
-
-    def test_duration_inclusive(self):
-        assert inst(3, 3).duration == 1
-        assert inst(0, 4).duration == 5
 
     def test_rejects_inverted_interval(self):
         with pytest.raises(ValueError):
@@ -92,7 +86,9 @@ class TestPairRelation:
         assert pair_relation(inst(0, 3), inst(3, 5, "B"), d_o=2) is None
 
     def test_render(self):
-        assert render_triple(CONTAINS, "C:1", "D:1") == "C:1 >= D:1"
+        assert render_pattern(((CONTAINS, "C:1", "D:1"),)) == "C:1 >= D:1"
+        two = ((CONTAINS, "C:1", "D:1"), (FOLLOWS, "C:1", "E:1"))
+        assert render_pattern(two) == "C:1 >= D:1 ; C:1 -> E:1"
 
 
 interval = st.tuples(st.integers(0, 30), st.integers(0, 30)).map(

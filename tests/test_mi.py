@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.mi import (
-    conditional_entropy,
     entropy,
     joint_probabilities,
     lambert_w,
@@ -58,16 +57,14 @@ class TestEntropy:
         assert entropy({"0": 1.0}) == pytest.approx(0.0)
 
     def test_chain_rule(self):
-        """H(X|Y) = H(X,Y) - H(Y)."""
+        """I(X;Y) = H(X) + H(Y) - H(X,Y)."""
         rng = random.Random(0)
         xs = [rng.choice("ab") for _ in range(500)]
         ys = [x if rng.random() < 0.8 else rng.choice("cd") for x in xs]
         joint = joint_probabilities(xs, ys)
         h_joint = -sum(p * math.log2(p) for p in joint.values())
-        h_y = entropy(probabilities(ys))
-        assert conditional_entropy(joint, probabilities(ys)) == pytest.approx(
-            h_joint - h_y
-        )
+        h_x, h_y = entropy(probabilities(xs)), entropy(probabilities(ys))
+        assert mutual_information(xs, ys) == pytest.approx(h_x + h_y - h_joint)
 
 
 class TestMutualInformation:
@@ -163,17 +160,31 @@ class TestTheoremBound:
 
 class TestMu:
     def test_mu_consistent_with_bound(self):
-        """Plugging mu back into Theorem 1 must reach minSeason (case 2)."""
-        lambda1, lambda2, n_seq, min_density = 0.3, 0.6, 400, 4
-        for min_season in (4, 8, 12):
-            mu = mu_pair(
-                lambda1, lambda2, min_season=min_season,
-                min_density=min_density, n_seq=n_seq,
+        """Case 2 (rho > 1/e): mu put back into Theorem 1 gives minSeason
+        exactly, because W(rho ln rho) = ln rho."""
+        lambda1, lambda2, n_seq, min_density, min_season = 0.2, 0.3, 608, 10, 12
+        rho = min_season * min_density / (lambda2 * n_seq)
+        assert rho > 1 / math.e
+        assert lambert_w(rho * math.log(rho)) == pytest.approx(math.log(rho))
+        mu = mu_pair(
+            lambda1, lambda2, min_season=min_season, min_density=min_density, n_seq=n_seq
+        )
+        assert 0 < mu < 1
+        bound = max_season_lower_bound(mu, lambda1, lambda2, n_seq, min_density)
+        assert bound == pytest.approx(min_season, rel=1e-9)
+
+    def test_mu_cases_meet_at_rho_one_over_e(self):
+        """Eqs. 36 and 37 give the same mu at rho = 1/e."""
+        lambda1, lambda2, min_season, min_density = 0.2, 0.3, 12, 10
+
+        def mu_at(rho):
+            n_seq = min_season * min_density / (lambda2 * rho)
+            return mu_pair(
+                lambda1, lambda2, min_season=min_season, min_density=min_density, n_seq=n_seq
             )
-            rho = min_season * min_density / (lambda2 * n_seq)
-            if rho > 1 / math.e and mu <= 1.0:
-                bound = max_season_lower_bound(mu, lambda1, lambda2, n_seq, min_density)
-                assert bound >= min_season * 0.99
+
+        below, above = mu_at(math.exp(-1) * (1 - 1e-9)), mu_at(math.exp(-1) * (1 + 1e-9))
+        assert above == pytest.approx(below, abs=1e-8)
 
     def test_mu_case1_independent_of_thresholds(self):
         """With rho <= 1/e mu is the W-feasibility limit (Eq. 36)."""

@@ -4,10 +4,11 @@ import pytest
 from repro.core.mi import nmi, pair_min_nmis
 from repro.core.seasonal import STPMParams
 from repro.datasets import gen_symbols
+from repro.experiments.jobs_util import symbols_long_pdf
 from repro.sparkio.mi_spark import nmi_table
-from repro.sparkio.mining import mine_groups, screen_stats
+from repro.sparkio.mining import mine_groups
 
-from .spark_helpers import SYM_SCHEMA, symbols_long_pdf, tiny_profile
+from .spark_helpers import SYM_SCHEMA, tiny_profile
 
 pytestmark = pytest.mark.spark
 
@@ -56,7 +57,6 @@ PARAMS = STPMParams(max_period=1, min_density=1, dist_min=1, dist_max=4, min_sea
 ASTPM_ENTRY_POINTS = {
     "nmi_table": nmi_table,
     "mine_groups": lambda df: mine_groups(df, PARAMS, 2, miner="astpm").toPandas(),
-    "screen_stats": lambda df: screen_stats(df, PARAMS, 2).toPandas(),
 }
 
 

@@ -6,12 +6,14 @@ import pytest
 from repro.baseline.aps import mine_aps
 from repro.core.astpm import mine_approx
 from repro.core.estpm import mine
+from repro.core.hlh import render_pattern
 from repro.core.seasonal import STPMParams
 from repro.core.sequences import build_dseq
 from repro.datasets import gen_symbols
-from repro.sparkio.mining import mine_groups, screen_stats
+from repro.experiments.jobs_util import symbols_long_pdf
+from repro.sparkio.mining import mine_groups
 
-from .spark_helpers import SYM_SCHEMA, symbols_long_pdf, tiny_profile
+from .spark_helpers import SYM_SCHEMA, tiny_profile
 
 pytestmark = pytest.mark.spark
 
@@ -50,9 +52,7 @@ def test_spark_matches_pure_python(sym_df, miner):
         res = pure_result(group, miner)
         singles, patterns = rows_to_sets(out, group)
         assert singles == set(res.singles), f"group {group} singles"
-        expect_patterns = {
-            " ; ".join(f"{a} {r} {b}" for r, a, b in p) for p in res.patterns
-        }
+        expect_patterns = {render_pattern(p) for p in res.patterns}
         assert patterns == expect_patterns, f"group {group} patterns"
 
 
@@ -60,23 +60,15 @@ def test_result_metadata_consistent(sym_df):
     out = mine_groups(sym_df, PARAMS, PROFILE.m).toPandas()
     res = pure_result(0, "estpm")
     sub = out[(out["group"] == 0) & (out["kind"] == "pattern")]
+    rendered = {render_pattern(p): (p, v) for p, v in res.patterns.items()}
+    assert set(sub["pattern"]) == set(rendered)
     for row in sub.itertuples(index=False):
-        key = tuple(
-            tuple(part.split(" ")[i] for i in (1, 0, 2))
-            for part in row.pattern.split(" ; ")
-        )
-        # rebuild (rel, a, b) triples from the rendered string
-        key = tuple(
-            (rel, a, b)
-            for part in row.pattern.split(" ; ")
-            for a, rel, b in [part.split(" ")]
-        )
-        v = res.patterns[key]
+        pattern, v = rendered[row.pattern]
         assert row.sup_size == len(v.sup)
         assert row.n_seasons == v.n_seasons
         starts = json.loads(row.season_starts)
         assert starts == [s[0] for s in v.seasons]
-        assert row.k * (row.k - 1) // 2 == len(key)
+        assert row.k * (row.k - 1) // 2 == len(pattern)
 
 
 def test_groups_are_independent(sym_df):
@@ -90,17 +82,6 @@ def test_groups_are_independent(sym_df):
 def test_invalid_miner_rejected(sym_df):
     with pytest.raises(ValueError):
         mine_groups(sym_df, PARAMS, PROFILE.m, miner="nope")
-
-
-def test_screen_stats(sym_df):
-    out = screen_stats(sym_df, PARAMS, PROFILE.m).toPandas()
-    assert len(out) == 3
-    for row in out.itertuples(index=False):
-        assert row.n_series == 6
-        assert 0 <= row.pct_series_pruned <= 100
-        assert 0 <= row.pct_events_pruned <= 100
-        # the noise series must be screened out by MI
-        assert row.n_series_pruned >= 1
 
 
 def test_ignore_symbols_drops_background(sym_df):
@@ -134,4 +115,4 @@ def test_positions_come_from_t(spark, miner, hole):
     res = mine(dseq, PARAMS) if miner == "estpm" else mine_aps(dseq, PARAMS)
     singles, patterns = rows_to_sets(out, 0)
     assert singles == set(res.singles)
-    assert patterns == {" ; ".join(f"{a} {r} {b}" for r, a, b in p) for p in res.patterns}
+    assert patterns == {render_pattern(p) for p in res.patterns}

@@ -1,12 +1,15 @@
 """Phase-1 DataFrame transforms, oracle-checked against DuckDB SQL."""
+import math
 import random
 
 import pandas as pd
 import pytest
+from pyspark.sql import types as T
 
 from repro.core.sequences import runs
 from repro.core.symbolize import threshold_symbols
 from repro.datasets import CUT, gen_values_pdf
+from repro.experiments.jobs_util import symbols_long_pdf
 from repro.oracle import assert_equivalent
 from repro.sparkio.transform import (
     dseq_stats,
@@ -15,19 +18,44 @@ from repro.sparkio.transform import (
     with_granule,
 )
 
-from .spark_helpers import SYM_SCHEMA, symbols_long_pdf, tiny_profile
+from .spark_helpers import SYM_SCHEMA, tiny_profile
 
 pytestmark = pytest.mark.spark
 
 
-@pytest.fixture(scope="module")
-def values_pdf():
-    return gen_values_pdf(tiny_profile(), n_groups=2)
+#: the long-format value frame, stated so NULL values need no inference
+VALUE_SCHEMA = T.StructType(
+    [
+        T.StructField("group", T.LongType()),
+        T.StructField("series", T.StringType()),
+        T.StructField("t", T.LongType()),
+        T.StructField("value", T.DoubleType()),
+    ]
+)
+
+#: missing values put into the generated frame: NaN, and None (NULL on Spark)
+MISSING_VALUES = {
+    (0, "drv", 3): math.nan,
+    (0, "drv", 4): None,
+    (1, "nz", 0): None,
+    (1, "con", 7): math.nan,
+}
 
 
 @pytest.fixture(scope="module")
-def values_df(spark, values_pdf):
-    return spark.createDataFrame(values_pdf).cache()
+def values_rows():
+    """``(group, series, t, value)`` rows in ``t`` order per series."""
+    return [
+        (g, s, t, MISSING_VALUES.get((g, s, t), v))
+        for g, s, t, v in gen_values_pdf(tiny_profile(), n_groups=2)
+        .sort_values(["group", "series", "t"])
+        .itertuples(index=False)
+    ]
+
+
+@pytest.fixture(scope="module")
+def values_df(spark, values_rows):
+    return spark.createDataFrame(values_rows, VALUE_SCHEMA).cache()
 
 
 @pytest.fixture(scope="module")
@@ -37,30 +65,31 @@ def sym_df(spark):
 
 
 class TestSymbolize:
-    def test_matches_duckdb(self, values_df, values_pdf):
+    def test_matches_duckdb(self, values_df):
         out = symbolize_threshold(values_df, [CUT], ["0", "1"])
         assert_equivalent(
             out.select("group", "series", "t", "symbol"),
             f"""
             SELECT "group", series, t,
-                   CASE WHEN value < {CUT} THEN '0' ELSE '1' END AS symbol
+                   CASE WHEN value IS NULL OR isnan(value) THEN NULL
+                        WHEN value < {CUT} THEN '0' ELSE '1' END AS symbol
             FROM vals
             """,
-            vals=values_pdf,
+            vals=values_df,
         )
 
-    def test_matches_pure_python(self, values_df, values_pdf):
+    def test_matches_pure_python(self, values_df, values_rows):
         out = (
             symbolize_threshold(values_df, [CUT], ["0", "1"])
             .select("group", "series", "t", "symbol")
             .toPandas()
             .sort_values(["group", "series", "t"])
         )
-        for (g, s), sub in values_pdf.groupby(["group", "series"]):
-            sub = sub.sort_values("t")
-            expect = threshold_symbols(sub["value"].tolist(), [CUT], alphabet=["0", "1"])
-            got = out[(out["group"] == g) & (out["series"] == s)]["symbol"].tolist()
-            assert got == expect
+        for (g, s), sub in out.groupby(["group", "series"]):
+            values = [v for g2, s2, _, v in values_rows if (g2, s2) == (g, s)]
+            expect = threshold_symbols(values, [CUT], alphabet=["0", "1"])
+            assert sub["symbol"].tolist() == expect
+        assert out["symbol"].isna().sum() == len(MISSING_VALUES)
 
     def test_multilevel_cuts(self, spark):
         pdf = pd.DataFrame(

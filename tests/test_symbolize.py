@@ -1,4 +1,6 @@
 """Symbolization (Def. 3.7): threshold mappings with one or several cuts."""
+import math
+
 import pytest
 
 from repro.core.symbolize import threshold_symbols
@@ -19,8 +21,13 @@ class TestThreshold:
 
     def test_rejects_unsorted_cuts(self):
         with pytest.raises(ValueError):
-            threshold_symbols([1], [3, 2])
+            threshold_symbols([1], [3, 2], alphabet=list("abc"))
 
     def test_rejects_wrong_label_count(self):
         with pytest.raises(ValueError):
             threshold_symbols([1], [0.5], alphabet=["only-one"])
+
+    def test_missing_value_is_a_missing_instant(self):
+        """NaN and None map to ``None``, never to a label, so they make no event."""
+        out = threshold_symbols([0.0, math.nan, None, 5.0], [2.0], alphabet=["0", "1"])
+        assert out == ["0", None, None, "1"]
