@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 from .estpm import MiningResult, build_event_supports, mine
 from .mi import mu_series_pair, pair_min_nmis, probabilities
-from .seasonal import STPMParams, is_candidate
+from .seasonal import STPMParams
 from .sequences import DSeq
 
 
@@ -56,13 +56,7 @@ def screen_correlated(
         pair_nmis = pair_min_nmis(symbolic)
     for xa, xb in combinations(names, 2):
         min_nmi = pair_nmis[frozenset((xa, xb))]
-        mu = mu_series_pair(
-            probs[xa],
-            probs[xb],
-            min_season=params.min_season,
-            min_density=params.min_density,
-            n_seq=n_seq,
-        )
+        mu = mu_series_pair(probs[xa], probs[xb], min_support=params.min_support, n_seq=n_seq)
         key = frozenset((xa, xb))
         rep.pair_scores[key] = (min_nmi, mu)
         if min_nmi >= mu:
@@ -104,13 +98,11 @@ def pct_events_pruned(dseq: DSeq, report: CorrelationReport, params: STPMParams)
     configuration's own maxSeason gate already is (the paper's Table XI
     does not pin down the denominator; DESIGN.md documents this choice).
     """
-    lenient = params.with_(min_season=min(params.min_season, 4))
+    floor = params.with_(min_season=min(params.min_season, 4)).min_support
     candidates = [
-        ev
-        for ev, e in build_event_supports(dseq).events.items()
-        if is_candidate(e.sup.bit_count(), lenient)
+        e for e in build_event_supports(dseq).values() if e.sup.bit_count() >= floor
     ]
-    pruned = sum(ev.split(":", 1)[0] in report.pruned_series for ev in candidates)
+    pruned = sum(e.name[0] in report.pruned_series for e in candidates)
     return 100.0 * pruned / max(1, len(candidates))
 
 

@@ -43,21 +43,14 @@ class MiningResult:
 
     singles: dict[str, SeasonalVerdict] = field(default_factory=dict)
     patterns: dict[Pattern, SeasonalVerdict] = field(default_factory=dict)
-    hlh1: HLH1 = field(default_factory=HLH1)
+    hlh1: HLH1 = field(default_factory=dict)
     hlhk: dict[int, HLHk] = field(default_factory=dict)
     stats: dict[str, int] = field(default_factory=dict)
-
-    def frequent_patterns(self, k: int | None = None) -> dict[Pattern, SeasonalVerdict]:
-        """Frequent seasonal k-event patterns (all k >= 2 when k is None)."""
-        if k is None:
-            return dict(self.patterns)
-        want = k * (k - 1) // 2
-        return {p: v for p, v in self.patterns.items() if len(p) == want}
 
 
 def build_event_supports(dseq: DSeq) -> HLH1:
     """One scan of D_SEQ: support bitset + representative shapes per event."""
-    events: dict[str, EventEntry] = {}
+    events: HLH1 = {}
     for h, insts in dseq.rows.items():
         bit, origin = 1 << h, h * dseq.m
         for inst in insts:  # canonical order: an event's first is its representative
@@ -69,7 +62,7 @@ def build_event_supports(dseq: DSeq) -> HLH1:
             e.sup |= bit
             shape = (inst.start - origin, inst.end - origin)
             e.shapes[shape] = e.shapes.get(shape, 0) | bit
-    return HLH1(events)
+    return events
 
 
 def _pair_group(
@@ -155,23 +148,21 @@ def mine(
     the restricted HLH_2, mirroring Algorithm 2.
     """
     res = MiningResult()
-    # the maxSeason gate (``is_candidate``) as a floor on bit counts;
-    # without it a pattern needs one granule
-    floor = params.min_season * params.min_density if apriori else 1
+    # the maxSeason gate as a floor on bit counts; without it a pattern
+    # needs one granule
+    floor = params.min_support if apriori else 1
 
     # ---- Step 2.1: seasonal single events (Alg. 1 lines 1-9) ----
     full = build_event_supports(dseq)
     res.stats["n_events_total"] = len(full)
-    hlh1 = HLH1()
-    for ev, entry in full.events.items():
-        if restrict_series is not None and entry.name[0] not in restrict_series:
-            continue
-        if entry.sup.bit_count() < floor:
-            continue
-        hlh1.events[ev] = entry
-    res.hlh1 = hlh1
+    hlh1 = res.hlh1 = {
+        ev: entry
+        for ev, entry in full.items()
+        if (restrict_series is None or entry.name[0] in restrict_series)
+        and entry.sup.bit_count() >= floor
+    }
     res.stats["n_candidate_events"] = len(hlh1)
-    for ev, entry in hlh1.events.items():
+    for ev, entry in hlh1.items():
         verdict = evaluate_seasonality(entry.sup, params)
         if verdict.frequent:
             res.singles[ev] = verdict
@@ -182,8 +173,8 @@ def mine(
     # ---- Step 2.2, k = 2 (Section 4.2.1) ----
     hlh2 = HLHk(k=2)
     considered = 0
-    for ev_a, ev_b in combinations(sorted(hlh1.events), 2):
-        a, b = hlh1.events[ev_a], hlh1.events[ev_b]
+    for ev_a, ev_b in combinations(sorted(hlh1), 2):
+        a, b = hlh1[ev_a], hlh1[ev_b]
         if allowed_pairs is not None:
             sa, sb = a.name[0], b.name[0]
             if sa != sb and frozenset((sa, sb)) not in allowed_pairs:
@@ -212,9 +203,9 @@ def mine(
             break
         cur = HLHk(k=k)
         filtered_f1 = (
-            sorted(prev.events_in_patterns() & set(hlh1.events))
+            sorted(prev.events_in_patterns() & set(hlh1))
             if transitivity
-            else sorted(hlh1.events)
+            else sorted(hlh1)
         )
         for g_events, g in prev.groups.items():
             for ev in filtered_f1:
@@ -225,7 +216,7 @@ def mine(
                 pairs = [pair_groups.get((e, ev)) for e in g_events]
                 if None in pairs:
                     continue
-                sup = g.sup & hlh1.events[ev].sup
+                sup = g.sup & hlh1[ev].sup
                 if sup.bit_count() < floor:
                     continue
                 new = _extend_group(g, ev, pairs, sup, floor)

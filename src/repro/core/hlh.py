@@ -6,11 +6,12 @@ and |set| is ``int.bit_count()``, C loops over the int's digits in place
 of Python loops over granules (the vertical bit-vector tid-lists of
 Zaki's Eclat and of MAFIA).
 
-``HLH1`` plays the role of the paper's EH + GH pair: per candidate
-single event it keeps the support bitset (the EH value / GH key) and,
-instead of one representative instance per granule, the representative's
-*shape* — its ``(start, end)`` offset inside its granule — mapped to the
-bitset of granules where it has that shape. Table III compares only
+``HLH1``, a dict from event key to :class:`EventEntry`, plays the role
+of the paper's EH + GH pair: per candidate single event it keeps the
+support bitset (the EH value / GH key) and, instead of one
+representative instance per granule, the representative's *shape* —
+its ``(start, end)`` offset inside its granule — mapped to the bitset
+of granules where it has that shape. Table III compares only
 differences of endpoints, so two events' relation in a granule follows
 from their two shapes alone (DESIGN.md, "Bitset HLH").
 
@@ -52,12 +53,8 @@ class EventEntry:
     shapes: dict[tuple[int, int], int] = field(default_factory=dict)
 
 
-@dataclass
-class HLH1:
-    events: dict[str, EventEntry] = field(default_factory=dict)
-
-    def __len__(self) -> int:
-        return len(self.events)
+#: HLH_1: event key -> its row
+HLH1 = dict[str, EventEntry]
 
 
 @dataclass

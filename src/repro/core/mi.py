@@ -176,27 +176,22 @@ def max_season_lower_bound(
     return lambda2 * n_seq / min_density * math.exp(lambert_w(arg))
 
 
-def mu_pair(
-    lambda1: float,
-    lambda2: float,
-    *,
-    min_season: int,
-    min_density: int,
-    n_seq: int,
-) -> float:
+def mu_pair(lambda1: float, lambda2: float, *, min_support: int, n_seq: int) -> float:
     """Corollary 1.1: smallest mu making the Theorem-1 bound reach minSeason.
 
     ``lambda1`` = min symbol probability of X_S; ``lambda2`` = p(Y_1) for
-    the event pair's Y-side event. Follows appendix Eqs. (36)/(37); the
-    result may exceed 1 when the thresholds are unreachable for this pair
-    (then no finite NMI qualifies, i.e. the pair is prunable).
+    the event pair's Y-side event; ``min_support`` = minSeason·minDensity,
+    the maxSeason gate (``STPMParams.min_support``). Follows appendix
+    Eqs. (36)/(37); the result may exceed 1 when the thresholds are
+    unreachable for this pair (then no finite NMI qualifies, i.e. the
+    pair is prunable).
     """
     if lambda1 >= 1.0:
         # degenerate constant X: it carries no information, so no NMI
         # evidence can certify the bound — treat the pair as unprunable
         # only at perfect NMI (Def. 5.4 requires 0 < mu)
         return 1.0
-    rho = min_season * min_density / (lambda2 * n_seq)
+    rho = min_support / (lambda2 * n_seq)
     log_inv_l1 = math.log2(1.0 / lambda1)
     if rho <= _E_INV:
         return 1.0 - lambda2 / (math.e * math.log(2.0) * log_inv_l1)
@@ -205,12 +200,7 @@ def mu_pair(
 
 
 def mu_series_pair(
-    px: Mapping[str, float],
-    py: Mapping[str, float],
-    *,
-    min_season: int,
-    min_density: int,
-    n_seq: int,
+    px: Mapping[str, float], py: Mapping[str, float], *, min_support: int, n_seq: int
 ) -> float:
     """Final mu for a series pair: the minimum over all event pairs.
 
@@ -224,8 +214,5 @@ def mu_series_pair(
     for pa, pb in ((px, py), (py, px)):
         l1 = min(pa.values())
         for l2 in pb.values():
-            out = min(
-                out,
-                mu_pair(l1, l2, min_season=min_season, min_density=min_density, n_seq=n_seq),
-            )
+            out = min(out, mu_pair(l1, l2, min_support=min_support, n_seq=n_seq))
     return out

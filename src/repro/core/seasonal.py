@@ -1,4 +1,4 @@
-"""Seasonality measures (Defs. 3.14-3.17) and the maxSeason bound (Eq. 1).
+"""Seasonality (Defs. 3.14-3.17) and the maxSeason gate (Eq. 1).
 
 Granule positions here are 0-indexed ints; a support set is a sorted
 tuple of positions (:func:`evaluate_seasonality` also takes the bitset
@@ -7,20 +7,23 @@ form E-STPM keeps, bit ``h`` set iff granule ``h`` is in).
 :func:`repro.core.granularity.pct_to_count` to convert the
 paper's percentage parameters).
 
+:func:`evaluate_seasonality` is the one copy of Defs. 3.15-3.17, and
+:attr:`STPMParams.min_support` the one copy of Eq. 1's gate.
+
 Season counting (Def. 3.17): the paper requires every pair of
 *consecutive* seasons to be within ``distInterval``. Its Algorithm 1
 phrases this as "find PS that adheres to distInterval", which we realize
-as the longest run of consecutive density-qualified near support sets
-whose pairwise distances all fall inside the interval — for regularly
-seasonal data both readings coincide; the chain reading degrades
-gracefully on noisy season spacing. DESIGN.md discusses this choice and
-the paper's (internally inconsistent) M:1>=N:1 worked example.
+as the longest run of consecutive seasons (density-qualified near
+support sets) whose pairwise distances all fall inside the interval —
+for regularly seasonal data both readings coincide; the chain reading
+degrades gracefully on noisy season spacing. DESIGN.md discusses this
+choice and the paper's (internally inconsistent) M:1>=N:1 worked example.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import accumulate
-from typing import Iterable, Sequence
+from typing import Iterable
 
 
 @dataclass(frozen=True)
@@ -57,48 +60,14 @@ class STPMParams:
     def with_(self, **kw) -> "STPMParams":
         return replace(self, **kw)
 
+    @property
+    def min_support(self) -> int:
+        """The maxSeason gate (Eq. 1, Section IV-B) as a floor on |SUP|.
 
-def max_season(sup_size: int, min_density: int) -> float:
-    """Maximum seasonal occurrence bound (Eq. 1): |SUP| / minDensity."""
-    return sup_size / min_density
-
-
-def near_support_sets(sup: Sequence[int], max_period: int) -> list[tuple[int, ...]]:
-    """Maximal near support sets: split SUP where consecutive period > maxPeriod."""
-    if not sup:
-        return []
-    out: list[tuple[int, ...]] = []
-    cur = [sup[0]]
-    for p in sup[1:]:
-        if p - cur[-1] <= max_period:
-            cur.append(p)
-        else:
-            out.append(tuple(cur))
-            cur = [p]
-    out.append(tuple(cur))
-    return out
-
-
-def season_sets(sup: Sequence[int], max_period: int, min_density: int) -> list[tuple[int, ...]]:
-    """Near support sets dense enough to be seasons (Def. 3.16)."""
-    return [s for s in near_support_sets(sup, max_period) if len(s) >= min_density]
-
-
-def season_distance(s1: Sequence[int], s2: Sequence[int]) -> int:
-    """dist(S_i, S_j) = |p(last of S_i) - p(first of S_j)| (Def. 3.16)."""
-    return abs(s1[-1] - s2[0])
-
-
-def count_seasons(seasons: Sequence[Sequence[int]], dist_min: int, dist_max: int) -> int:
-    """Longest run of consecutive seasons with pairwise distances in the interval."""
-    if not seasons:
-        return 0
-    best = cur = 1
-    for prev, nxt in zip(seasons, seasons[1:]):
-        d = season_distance(prev, nxt)
-        cur = cur + 1 if dist_min <= d <= dist_max else 1
-        best = max(best, cur)
-    return best
+        ``|SUP| / minDensity >= minSeason`` iff ``|SUP| >= min_support``:
+        no support set smaller than this can hold minSeason seasons.
+        """
+        return self.min_season * self.min_density
 
 
 @dataclass(frozen=True)
@@ -123,16 +92,29 @@ def evaluate_seasonality(sup: Iterable[int] | int, params: STPMParams) -> Season
     """Full Def. 3.17 check: seasons + distInterval chain + minSeason.
 
     ``sup`` is a collection of granule positions or a bitset of them.
+    One pass over the sorted positions: a period above maxPeriod (or the
+    end of SUP) closes a near support set (Def. 3.15); a closed set of at
+    least minDensity granules is a season (Def. 3.16); each season's
+    distance to the previous season, ``p(first of S) - p(last of S_prev)``,
+    extends the distInterval chain or restarts it. ``n_seasons`` is the
+    longest chain.
     """
     s = bit_positions(sup) if isinstance(sup, int) else tuple(sorted(sup))
-    seasons = tuple(season_sets(s, params.max_period, params.min_density))
-    n = count_seasons(seasons, params.dist_min, params.dist_max)
-    return SeasonalVerdict(sup=s, seasons=seasons, n_seasons=n, frequent=n >= params.min_season)
-
-
-def is_candidate(sup_size: int, params: STPMParams) -> bool:
-    """Apriori-style gate: maxSeason(P) >= minSeason (Section IV-B).
-
-    ``sup_size / minDensity >= minSeason`` as one integer compare.
-    """
-    return sup_size >= params.min_season * params.min_density
+    max_period, min_density = params.max_period, params.min_density
+    dist_min, dist_max = params.dist_min, params.dist_max
+    seasons: list[tuple[int, ...]] = []
+    best = chain = first = 0  # first: index where the open near support set starts
+    for i in range(1, len(s) + 1):
+        if i < len(s) and s[i] - s[i - 1] <= max_period:
+            continue
+        if i - first >= min_density:
+            if seasons and dist_min <= s[first] - seasons[-1][-1] <= dist_max:
+                chain += 1
+            else:
+                chain = 1
+            best = max(best, chain)
+            seasons.append(s[first:i])
+        first = i
+    return SeasonalVerdict(
+        sup=s, seasons=tuple(seasons), n_seasons=best, frequent=best >= params.min_season
+    )

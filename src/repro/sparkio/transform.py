@@ -20,6 +20,8 @@ def symbolize_threshold(df: DataFrame, cuts: list[float], labels: list[str]) -> 
     value -> a NULL symbol, a missing instant (Spark orders NaN above
     every number, so no cut alone keeps it from the top label).
     """
+    if sorted(cuts) != list(cuts):
+        raise ValueError("cuts must be ascending")
     if len(labels) != len(cuts) + 1:
         raise ValueError("need len(cuts)+1 labels")
     value = F.col("value")

@@ -172,13 +172,16 @@ def test_k3_patterns_have_three_triples_and_subpatterns():
     """Every frequent 3-event pattern's 2-event projections are candidates."""
     dseq = example_dseq()
     res = mine(dseq, EXAMPLE_PARAMS)
-    k3 = res.frequent_patterns(3)
+    k3 = [p for p in res.patterns if len(p) == 3]
+    assert k3
     for pattern in k3:
-        assert len(pattern) == 3
         events = {e for _, a, b in pattern for e in (a, b)}
         assert len(events) == 3
+        for triple in pattern:
+            group = res.hlhk[2].groups[tuple(sorted(triple[1:]))]
+            assert (triple,) in group.patterns
 
-    k2 = res.frequent_patterns(2)
+    k2 = [p for p in res.patterns if len(p) == 1]
     assert set(k2) | set(k3) == set(res.patterns)
 
 
@@ -212,7 +215,7 @@ def test_max_period_monotone():
 def test_restrict_series_limits_mining():
     dseq = example_dseq()
     res = mine(dseq, EXAMPLE_PARAMS, restrict_series={"C", "D"})
-    assert all(ev.split(":")[0] in {"C", "D"} for ev in res.hlh1.events)
+    assert all(ev.split(":")[0] in {"C", "D"} for ev in res.hlh1)
     for pattern in res.patterns:
         for _, a, b in pattern:
             assert a.split(":")[0] in {"C", "D"}
@@ -223,7 +226,7 @@ def test_allowed_pairs_limits_k2():
     dseq = example_dseq()
     allowed = {frozenset({"C", "D"})}
     res = mine(dseq, EXAMPLE_PARAMS, allowed_pairs=allowed)
-    for pattern in res.frequent_patterns(2):
+    for pattern in (p for p in res.patterns if len(p) == 1):
         (_, a, b) = pattern[0]
         sa, sb = a.split(":")[0], b.split(":")[0]
         assert sa == sb or frozenset({sa, sb}) in allowed
@@ -264,18 +267,23 @@ def tie_cases(draw):
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(tie_cases())
 def test_prune_configs_match_brute_property(case):
-    """Every pruning config equals brute force, supports included, on
-    shape ties, every epsilon (Contains > Follows > Overlaps) and d_o."""
+    """Every pruning config and APS-growth equal brute force, supports
+    included, on shape ties, every epsilon (Contains > Follows >
+    Overlaps) and d_o."""
     dseq, params = case
-    b_singles, b_patterns = mine_brute(dseq, params)
+
+    def sups(singles, patterns):
+        return (
+            {e: v.sup for e, v in singles.items()},
+            {p: v.sup for p, v in patterns.items()},
+        )
+
+    expect = sups(*mine_brute(dseq, params))
     for cfg in PRUNE_CONFIGS:
         res = mine(dseq, params, **cfg.values[0])
-        assert {e: v.sup for e, v in res.singles.items()} == {
-            e: v.sup for e, v in b_singles.items()
-        }
-        assert {p: v.sup for p, v in res.patterns.items()} == {
-            p: v.sup for p, v in b_patterns.items()
-        }
+        assert sups(res.singles, res.patterns) == expect
+    aps = mine_aps(dseq, params)
+    assert sups(aps.singles, aps.patterns) == expect
 
 
 def test_estpm_never_imports_numpy():

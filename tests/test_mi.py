@@ -166,9 +166,7 @@ class TestMu:
         rho = min_season * min_density / (lambda2 * n_seq)
         assert rho > 1 / math.e
         assert lambert_w(rho * math.log(rho)) == pytest.approx(math.log(rho))
-        mu = mu_pair(
-            lambda1, lambda2, min_season=min_season, min_density=min_density, n_seq=n_seq
-        )
+        mu = mu_pair(lambda1, lambda2, min_support=min_season * min_density, n_seq=n_seq)
         assert 0 < mu < 1
         bound = max_season_lower_bound(mu, lambda1, lambda2, n_seq, min_density)
         assert bound == pytest.approx(min_season, rel=1e-9)
@@ -179,34 +177,32 @@ class TestMu:
 
         def mu_at(rho):
             n_seq = min_season * min_density / (lambda2 * rho)
-            return mu_pair(
-                lambda1, lambda2, min_season=min_season, min_density=min_density, n_seq=n_seq
-            )
+            return mu_pair(lambda1, lambda2, min_support=min_season * min_density, n_seq=n_seq)
 
         below, above = mu_at(math.exp(-1) * (1 - 1e-9)), mu_at(math.exp(-1) * (1 + 1e-9))
         assert above == pytest.approx(below, abs=1e-8)
 
     def test_mu_case1_independent_of_thresholds(self):
         """With rho <= 1/e mu is the W-feasibility limit (Eq. 36)."""
-        m1 = mu_pair(0.3, 0.5, min_season=2, min_density=2, n_seq=10000)
-        m2 = mu_pair(0.3, 0.5, min_season=4, min_density=2, n_seq=10000)
+        m1 = mu_pair(0.3, 0.5, min_support=4, n_seq=10000)
+        m2 = mu_pair(0.3, 0.5, min_support=8, n_seq=10000)
         assert m1 == pytest.approx(m2)
         assert m1 == pytest.approx(1 - 0.5 / (math.e * math.log(2) * math.log2(1 / 0.3)))
 
     def test_mu_in_unit_interval_for_feasible_setups(self):
-        mu = mu_pair(0.4, 0.6, min_season=4, min_density=3, n_seq=1000)
+        mu = mu_pair(0.4, 0.6, min_support=12, n_seq=1000)
         assert 0 < mu < 1
 
     def test_degenerate_lambda1_unprunable(self):
         """A constant X carries no information -> mu pinned at 1."""
-        assert mu_pair(1.0, 0.5, min_season=2, min_density=2, n_seq=100) == 1.0
+        assert mu_pair(1.0, 0.5, min_support=4, n_seq=100) == 1.0
 
     def test_mu_series_pair_takes_minimum(self):
         px = {"0": 0.5, "1": 0.5}
         py = {"0": 0.9, "1": 0.1}
-        mu = mu_series_pair(px, py, min_season=2, min_density=2, n_seq=10000)
+        mu = mu_series_pair(px, py, min_support=4, n_seq=10000)
         candidates = [
-            mu_pair(min(pa.values()), l2, min_season=2, min_density=2, n_seq=10000)
+            mu_pair(min(pa.values()), l2, min_support=4, n_seq=10000)
             for pa, pb in ((px, py), (py, px))
             for l2 in pb.values()
         ]

@@ -9,12 +9,7 @@ discrepancy") and assert the self-consistent outcome.
 """
 from repro.core.estpm import build_event_supports, mine
 from repro.core.events import CONTAINS
-from repro.core.seasonal import (
-    bit_positions,
-    evaluate_seasonality,
-    near_support_sets,
-    season_sets,
-)
+from repro.core.seasonal import bit_positions, evaluate_seasonality
 from repro.core.sequences import build_dseq
 
 from .paper_example import EXAMPLE_PARAMS, example_dseq, example_symbolic
@@ -43,14 +38,14 @@ def test_table_iv_granule_h5_all_full_span():
 def test_candidate_single_events_match_paper():
     """Eight candidates; M:0 and N:0 fail the maxSeason gate (Fig. 6)."""
     res = mine(example_dseq(), EXAMPLE_PARAMS)
-    assert set(res.hlh1.events) == {
+    assert set(res.hlh1) == {
         "C:1", "C:0", "D:1", "D:0", "F:1", "F:0", "M:1", "N:1"
     }
 
 
 def test_event_supports_match_paper_counts():
     hlh = build_event_supports(example_dseq())
-    sizes = {ev: e.sup.bit_count() for ev, e in hlh.events.items()}
+    sizes = {ev: e.sup.bit_count() for ev, e in hlh.items()}
     assert sizes["C:1"] == 8
     assert sizes["M:0"] == 5 and sizes["N:0"] == 5  # below |SUP| >= 6 gate
     assert sizes["M:1"] == 11 and sizes["N:1"] == 11
@@ -59,7 +54,7 @@ def test_event_supports_match_paper_counts():
 def test_m1_has_single_season_so_not_frequent():
     """Section IV-B: PS^{M:1} is one big near support set -> 1 season."""
     hlh = build_event_supports(example_dseq())
-    verdict = evaluate_seasonality(hlh.events["M:1"].sup, EXAMPLE_PARAMS)
+    verdict = evaluate_seasonality(hlh["M:1"].sup, EXAMPLE_PARAMS)
     assert len(verdict.seasons) == 1
     assert verdict.n_seasons == 1
     assert not verdict.frequent
@@ -73,12 +68,11 @@ def test_c1_contains_d1_support_and_near_sets():
     group = res.hlhk[2].groups[("C:1", "D:1")]
     sup = bit_positions(group.patterns[pattern])
     assert sup == (0, 1, 2, 6, 7, 10, 11, 13)
-    near = near_support_sets(sup, max_period=2)
-    assert near == [(0, 1, 2), (6, 7), (10, 11, 13)]
+    near = evaluate_seasonality(sup, EXAMPLE_PARAMS.with_(min_density=1)).seasons
+    assert near == ((0, 1, 2), (6, 7), (10, 11, 13))
     # densities 3, 2, 3 -> two seasons, distance |p(H3)-p(H11)| = 8 in [4,10]
-    seasons = season_sets(sup, 2, 3)
-    assert seasons == [(0, 1, 2), (10, 11, 13)]
     verdict = res.patterns[pattern]
+    assert verdict.seasons == ((0, 1, 2), (10, 11, 13))
     assert verdict.n_seasons == 2 and verdict.frequent
 
 

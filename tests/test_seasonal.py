@@ -1,43 +1,48 @@
-"""Seasonality measures: near support sets, seasons, maxSeason (Defs. 3.14-3.17)."""
-import pytest
-from hypothesis import given, strategies as st
+"""Seasonality: near support sets, seasons, the distInterval chain and the
+maxSeason gate (Defs. 3.14-3.17, Eq. 1), all through the one check
+:func:`evaluate_seasonality` and :attr:`STPMParams.min_support`."""
+from itertools import accumulate, groupby
+from operator import itemgetter
 
-from repro.core.seasonal import (
-    STPMParams,
-    bit_positions,
-    count_seasons,
-    evaluate_seasonality,
-    is_candidate,
-    max_season,
-    near_support_sets,
-    season_distance,
-    season_sets,
-)
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.core.seasonal import STPMParams, bit_positions, evaluate_seasonality
 
 P = STPMParams(max_period=2, min_density=3, dist_min=4, dist_max=10, min_season=2)
 
 
+def near_sets(sup, max_period):
+    """Near support sets (Def. 3.15): the seasons at minDensity 1."""
+    return evaluate_seasonality(sup, P.with_(max_period=max_period, min_density=1)).seasons
+
+
+def chain(seasons, params=P):
+    """Longest distInterval chain over ``seasons`` given as position runs."""
+    return evaluate_seasonality([p for s in seasons for p in s], params).n_seasons
+
+
 class TestNearSupportSets:
     def test_empty(self):
-        assert near_support_sets([], 2) == []
+        assert near_sets([], 2) == ()
 
     def test_single(self):
-        assert near_support_sets([5], 2) == [(5,)]
+        assert near_sets([5], 2) == ((5,),)
 
     def test_paper_fig3(self):
         sup = [0, 1, 2, 6, 7, 10, 11, 13]
-        assert near_support_sets(sup, 2) == [(0, 1, 2), (6, 7), (10, 11, 13)]
+        assert near_sets(sup, 2) == ((0, 1, 2), (6, 7), (10, 11, 13))
 
     def test_gap_exactly_max_period_joins(self):
-        assert near_support_sets([0, 2, 4], 2) == [(0, 2, 4)]
+        assert near_sets([0, 2, 4], 2) == ((0, 2, 4),)
 
     def test_gap_above_max_period_splits(self):
-        assert near_support_sets([0, 3], 2) == [(0,), (3,)]
+        assert near_sets([0, 3], 2) == ((0,), (3,))
 
     @given(st.lists(st.integers(0, 100), unique=True, min_size=1), st.integers(1, 10))
     def test_partition_property(self, sup, mp):
         sup = sorted(sup)
-        sets_ = near_support_sets(sup, mp)
+        sets_ = near_sets(sup, mp)
         # complete non-overlapping partition preserving order
         flat = [p for s in sets_ for p in s]
         assert flat == sup
@@ -50,49 +55,64 @@ class TestNearSupportSets:
 class TestSeasons:
     def test_density_filter(self):
         sup = [0, 1, 2, 6, 7, 10, 11, 13]
-        assert season_sets(sup, 2, 3) == [(0, 1, 2), (10, 11, 13)]
+        assert evaluate_seasonality(sup, P).seasons == ((0, 1, 2), (10, 11, 13))
 
     def test_distance(self):
-        assert season_distance((0, 1, 2), (10, 11, 13)) == 8
+        """dist((0, 1, 2), (10, 11, 13)) = p(H_10) - p(H_2) = 8."""
+        sup = [0, 1, 2, 10, 11, 13]
+        assert evaluate_seasonality(sup, P.with_(dist_min=8, dist_max=8)).n_seasons == 2
+        assert evaluate_seasonality(sup, P.with_(dist_min=9, dist_max=20)).n_seasons == 1
+        assert evaluate_seasonality(sup, P.with_(dist_min=0, dist_max=7)).n_seasons == 1
 
     def test_count_empty(self):
-        assert count_seasons([], 4, 10) == 0
+        v = evaluate_seasonality((), P)
+        assert v.seasons == () and v.n_seasons == 0 and not v.frequent
 
     def test_count_single(self):
-        assert count_seasons([(0, 1, 2)], 4, 10) == 1
+        assert chain([(0, 1, 2)]) == 1
 
     def test_count_chain_ok(self):
         seasons = [(0, 1, 2), (10, 11, 12), (20, 21, 22)]
-        assert count_seasons(seasons, 4, 10) == 3
+        assert chain(seasons) == 3
 
     def test_count_chain_breaks_on_close_seasons(self):
         seasons = [(0, 1, 2), (5, 6, 7), (20, 21, 22)]  # dist 3 < 4, then 13 > 10
-        assert count_seasons(seasons, 4, 10) == 1
+        assert chain(seasons) == 1
 
     def test_count_longest_run_wins(self):
         seasons = [(0, 1), (3, 4), (10, 11), (20, 21), (30, 31)]
         # dists: 2 (break), 6, 9, 9 -> longest chain is 4
-        assert count_seasons(seasons, 4, 10) == 4
+        assert chain(seasons, P.with_(max_period=1, min_density=2)) == 4
 
 
 class TestMaxSeason:
     def test_eq1(self):
-        assert max_season(8, 3) == pytest.approx(8 / 3)
+        """maxSeason = |SUP| / minDensity >= minSeason iff |SUP| >= 2 * 3;
+        min_support is derived, not a field that could disagree."""
+        assert P.min_support == 6
+        assert P.with_(min_season=5, min_density=4).min_support == 20
+        with pytest.raises(TypeError):
+            P.with_(min_support=7)
 
     def test_candidate_gate(self):
-        assert is_candidate(6, P)
-        assert not is_candidate(5, P)
+        assert 6 >= P.min_support
+        assert not 5 >= P.min_support
 
-    @given(st.integers(0, 50), st.integers(0, 50))
-    def test_antimonotone_in_support(self, a, b):
-        """Lemma 1: bigger support -> bigger maxSeason."""
-        lo, hi = min(a, b), max(a, b)
-        assert max_season(lo, 3) <= max_season(hi, 3)
+    @given(st.sets(st.integers(0, 120), max_size=60), st.data())
+    def test_antimonotone_in_support(self, sup, data):
+        """Lemmas 1-2: a support set that passes Def. 3.17 passes the gate,
+        and so does every superset of it (a super-pattern's support)."""
+        sub = data.draw(st.sets(st.sampled_from(sorted(sup)))) if sup else set()
+        md, ms = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+        params = P.with_(min_density=md, min_season=ms)
+        if evaluate_seasonality(sub, params).frequent:
+            assert len(sub) >= params.min_support
+            assert len(sup) >= params.min_support
 
     @given(st.integers(0, 400), st.integers(1, 20), st.integers(1, 20))
     def test_candidate_gate_is_eq1(self, sup_size, md, ms):
         params = P.with_(min_density=md, min_season=ms)
-        assert is_candidate(sup_size, params) == (max_season(sup_size, md) >= ms)
+        assert (sup_size >= params.min_support) == (sup_size / md >= ms)
 
 
 class TestEvaluate:
@@ -117,7 +137,8 @@ class TestEvaluate:
             max_period=mp, min_density=md, dist_min=dmin, dist_max=dmin + 10, min_season=ms
         )
         v = evaluate_seasonality(sup, params)
-        assert v.n_seasons <= max_season(len(v.sup), md)
+        assert v.n_seasons <= len(v.sup) / md
+        assert not v.frequent or len(v.sup) >= params.min_support
 
     @given(st.sets(st.integers(0, 700), max_size=120), st.integers(1, 5), st.integers(1, 5))
     def test_bitset_equals_position_set(self, sup, mp, md):
@@ -126,6 +147,48 @@ class TestEvaluate:
         assert bit_positions(bits) == tuple(sorted(sup))
         params = P.with_(max_period=mp, min_density=md)
         assert evaluate_seasonality(bits, params) == evaluate_seasonality(sup, params)
+
+
+def oracle(sup, params):
+    """Defs. 3.15-3.17 restated: (seasons, longest distInterval chain).
+
+    Positions are labelled with the number of periods above maxPeriod
+    before them, and each label is one near support set. The chain
+    length is the longest window of consecutive seasons whose every
+    neighbour distance lies in the interval.
+    """
+    s = sorted(sup)
+    label = accumulate((b - a > params.max_period for a, b in zip(s, s[1:])), initial=0)
+    near = [tuple(p for _, p in g) for _, g in groupby(zip(label, s), key=itemgetter(0))]
+    seasons = [ns for ns in near if len(ns) >= params.min_density]
+    ok = [
+        params.dist_min <= b[0] - a[-1] <= params.dist_max
+        for a, b in zip(seasons, seasons[1:])
+    ]
+    windows = ((i, j) for i in range(len(seasons)) for j in range(i + 1, len(seasons) + 1))
+    n = max((j - i for i, j in windows if all(ok[i : j - 1])), default=0)
+    return tuple(seasons), n
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sets(st.integers(0, 400), max_size=200),
+    st.integers(1, 12),
+    st.integers(1, 8),
+    st.integers(0, 40),
+    st.integers(0, 40),
+    st.integers(1, 6),
+)
+def test_evaluate_matches_def_3_17_oracle(sup, mp, md, dmin, width, ms):
+    """Positions and bitsets both give the oracle's seasons and count."""
+    params = STPMParams(
+        max_period=mp, min_density=md, dist_min=dmin, dist_max=dmin + width, min_season=ms
+    )
+    seasons, n = oracle(sup, params)
+    expect = (tuple(sorted(sup)), seasons, n, n >= ms)
+    for form in (sup, sum(1 << h for h in sup)):
+        v = evaluate_seasonality(form, params)
+        assert (v.sup, v.seasons, v.n_seasons, v.frequent) == expect
 
 
 class TestParams:

@@ -105,6 +105,17 @@ class TestSymbolize:
         with pytest.raises(ValueError):
             symbolize_threshold(values_df, [1.0], ["only"])
 
+    def test_descending_cuts_rejected_like_pure_python(self, spark):
+        """Cuts [5, 3] would map 1, 4, 6 to lo, lo, hi; both paths refuse them."""
+        pdf = pd.DataFrame(
+            {"group": [0] * 3, "series": ["a"] * 3, "t": [0, 1, 2], "value": [1.0, 4.0, 6.0]}
+        )
+        labels = ["lo", "mid", "hi"]
+        with pytest.raises(ValueError, match="cuts must be ascending"):
+            threshold_symbols(pdf["value"].tolist(), [5.0, 3.0], alphabet=labels)
+        with pytest.raises(ValueError, match="cuts must be ascending"):
+            symbolize_threshold(spark.createDataFrame(pdf), [5.0, 3.0], labels)
+
 
 class TestGranule:
     def test_with_granule(self, sym_df):
