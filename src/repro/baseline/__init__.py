@@ -8,14 +8,16 @@ temporal databases using periodic summaries") in two phases:
 1. run PS-growth over the granule-transaction view of D_SEQ to find
    recurring event sets, and
 2. mine temporal patterns from the recurring sets, then apply the full
-   seasonal check.
+   seasonal check; this phase is brute force's pattern enumerator,
+   :func:`repro.core.brute.mine_patterns`, fed the recurring sets.
 
 ``pstree``   — the FP-tree-style prefix tree with per-node tid lists
                (the PS-tree substrate; no periodic summaries, because
                their gate is off: DESIGN.md, "Baseline gate");
 ``psgrowth`` — recursive conditional-tree mining of recurring itemsets;
 ``aps``      — the 2-phase APS-growth adaptation used as the paper's
-               experimental baseline (exact, but slower / heavier than
-               E-STPM by construction: no HLH reuse, no transitivity
+               experimental baseline: PS-growth, then
+               ``core.brute.mine_patterns`` (exact, but slower / heavier
+               than E-STPM by construction: no HLH reuse, no transitivity
                pruning, relations recomputed from scratch per itemset).
 """

@@ -11,5 +11,6 @@ Layout
 ``estpm``         exact seasonal temporal pattern mining (E-STPM)
 ``mi``            entropy, (normalized) mutual information, Lambert W, mu bound
 ``astpm``         approximate STPM (A-STPM) via MI pruning
-``brute``         brute-force reference miner used by the test oracle
+``brute``         brute-force pattern enumerator (APS-growth's phase 2) and
+                  the reference miner used by the test oracle
 """

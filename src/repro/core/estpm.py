@@ -171,7 +171,7 @@ def mine(
         return res
 
     # ---- Step 2.2, k = 2 (Section 4.2.1) ----
-    hlh2 = HLHk(k=2)
+    hlh2 = HLHk()
     considered = 0
     for ev_a, ev_b in combinations(sorted(hlh1), 2):
         a, b = hlh1[ev_a], hlh1[ev_b]
@@ -201,7 +201,7 @@ def mine(
     for k in range(3, params.max_k + 1):
         if not prev.groups:
             break
-        cur = HLHk(k=k)
+        cur = HLHk()
         filtered_f1 = (
             sorted(prev.events_in_patterns() & set(hlh1))
             if transitivity

@@ -72,7 +72,6 @@ class GroupEntry:
 class HLHk:
     """Candidate k-event groups; only groups with a candidate pattern are held."""
 
-    k: int
     groups: dict[tuple[str, ...], GroupEntry] = field(default_factory=dict)
 
     def events_in_patterns(self) -> set[str]:

@@ -49,16 +49,14 @@ class ExpectedPattern:
     months: tuple[str, ...]
 
 
-def _qual_profile(name: str, n_granules: int, groups: list[tuple[str, int, int, list[tuple[str, str]]]]) -> DatasetProfile:
+def _qual_profile(name: str, groups: list[tuple[str, int, int, list[tuple[str, str]]]]) -> DatasetProfile:
     """Build a month-anchored profile.
 
     ``groups``: (family_name, window_start_day, window_days, [(series, kind)]).
-    A 365-day cycle with the window phase-shifted so it covers the wanted
-    months; Family activity uses ``(h - start) mod 365 < window``, which we
-    emulate by rotating positions via a dedicated Family and the fact that
-    ``(h % cycle) < window`` starts windows at multiples of the cycle —
-    so we simply shift the whole series by ``start`` days at generation
-    time (the harness offsets granule positions when mapping months).
+    Each family gets a 365-day cycle whose active window opens on the
+    cycle's first day, so the series are generated unshifted and
+    ``window_start_day`` is not used here: :func:`table08_qualitative`
+    adds it to a pattern's granule positions when it maps them to months.
     """
     fams: dict[str, Family] = {}
     series: list[SeriesSpec] = []
@@ -72,15 +70,18 @@ def _qual_profile(name: str, n_granules: int, groups: list[tuple[str, int, int, 
                 kw = dict(p_active=0.9)
             series.append(SeriesSpec(s_name, kind, fam_name, **kw))
     return DatasetProfile(
-        name=f"qual-{name}", n_granules=n_granules, m=4,
+        name=f"qual-{name}", n_granules=_N_GRANULES, m=4,
         dist_min=200, dist_max=330, families=fams, series=series,
     )
 
 
-#: window start day-of-year per family (for month mapping), per dataset
-_QUAL_SPECS: dict[str, tuple[int, list[tuple[str, int, int, list[tuple[str, str]]]], list[ExpectedPattern]]] = {
+#: every dataset spans four 365-day years
+_N_GRANULES = 4 * 365
+
+#: per dataset: the families (window start day-of-year, for month
+#: mapping) and the patterns expected from them
+_QUAL_SPECS: dict[str, tuple[list[tuple[str, int, int, list[tuple[str, str]]]], list[ExpectedPattern]]] = {
     "re": (
-        1460,
         [
             ("winter", 334, 90, [("StrongWind", "driver"), ("HighWindPower", "contains"),
                                  ("LowTemperature", "contains"), ("HighEnergyConsumption", "follows")]),
@@ -96,7 +97,6 @@ _QUAL_SPECS: dict[str, tuple[int, list[tuple[str, int, int, list[tuple[str, str]
         ],
     ),
     "inf": (
-        1460,
         [
             ("flu", 0, 59, [("HighHumidity", "driver"), ("VeryLowTemperature", "contains"),
                             ("VeryHighInfluenzaCases", "follows")]),
@@ -107,7 +107,6 @@ _QUAL_SPECS: dict[str, tuple[int, list[tuple[str, int, int, list[tuple[str, str]
         ],
     ),
     "sc": (
-        1460,
         [
             ("storm", 181, 62, [("HighTemperature", "driver"), ("StrongWind", "contains"),
                                 ("HighCongestion", "follows")]),
@@ -118,7 +117,6 @@ _QUAL_SPECS: dict[str, tuple[int, list[tuple[str, int, int, list[tuple[str, str]
         ],
     ),
     "hfm": (
-        1460,
         [
             ("spring", 120, 61, [("LowHumidity", "driver"), ("HighTemperature", "contains"),
                                  ("VeryHighHFMCases", "follows")]),
@@ -140,8 +138,8 @@ def table08_qualitative(datasets=("re", "inf", "sc", "hfm")) -> pd.DataFrame:
     """
     rows = []
     for name in datasets:
-        n_granules, groups, expected = _QUAL_SPECS[name]
-        p = _qual_profile(name, n_granules, groups)
+        groups, expected = _QUAL_SPECS[name]
+        p = _qual_profile(name, groups)
         offsets = {fam: start for fam, start, _, _ in groups}
         fam_of = {s.name: s.family for s in p.series}
         symbols = gen_symbols(p)
@@ -158,10 +156,7 @@ def table08_qualitative(datasets=("re", "inf", "sc", "hfm")) -> pd.DataFrame:
             if hit is not None:
                 first = exp.pattern.split(":")[0]
                 off = offsets[fam_of[first]]
-                months = sorted(
-                    {m for s in hit.seasons for m in season_months([g + off for g in s])},
-                    key=_MONTHS.index,
-                )
+                months = season_months([g + off for s in hit.seasons for g in s])
             rows.append(
                 dict(
                     dataset=name, pattern=exp.pattern,

@@ -196,20 +196,33 @@ def test_min_season_monotone():
         prev = got
 
 
-def test_max_period_monotone():
-    """Raising maxPeriod can only grow the frequent set on fixed distInterval?
+def test_max_period_enters_only_the_seasonal_check():
+    """maxPeriod splits near support sets (Def. 3.15) and nothing else:
+    the candidate groups and pattern supports are those at maxPeriod 1,
+    the frequent patterns still equal brute force, and they do change."""
 
-    Not in general (near sets merge), but candidate support is unchanged;
-    we assert the weaker documented trend on the example: pattern count
-    does not explode downward.
-    """
-    dseq = example_dseq()
-    counts = [
-        len(mine(dseq, EXAMPLE_PARAMS.with_(max_period=mp)).patterns)
-        for mp in (1, 2, 3)
-    ]
-    assert counts[0] >= 0  # smoke: runs at every maxPeriod
-    assert len(counts) == 3
+    def candidates(res):
+        return {
+            k: {key: g.patterns for key, g in hlh.groups.items()}
+            for k, hlh in res.hlhk.items()
+        }
+
+    def verdicts(singles, patterns):
+        return {key: (v.sup, v.n_seasons) for key, v in (*singles.items(), *patterns.items())}
+
+    seasonal = STPMParams(
+        max_period=1, min_density=3, dist_min=4, dist_max=12, min_season=3, max_k=3
+    )
+    for dseq, params in (
+        (example_dseq(), EXAMPLE_PARAMS),
+        (build_dseq(seasonal_symbolic(0), m=4), seasonal),
+    ):
+        runs = {mp: params.with_(max_period=mp) for mp in (1, 2, 3, 4, 8)}
+        results = {mp: mine(dseq, p) for mp, p in runs.items()}
+        for mp, res in results.items():
+            assert candidates(res) == candidates(results[1])
+            assert verdicts(res.singles, res.patterns) == verdicts(*mine_brute(dseq, runs[mp]))
+        assert len({frozenset(res.patterns) for res in results.values()}) > 1
 
 
 def test_restrict_series_limits_mining():
