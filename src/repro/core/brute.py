@@ -3,9 +3,11 @@ APS-growth's phase 2.
 
 :func:`mine_patterns` takes event sets with the granules to scan for
 each, and uses *no* data structures and *no* pruning: at each granule it
-relates the set's representative instances pairwise and, if every pair
-has a relation, records a pattern occurrence. Frequent seasonal patterns
-then come from the plain Def. 3.17 check.
+relates the set's representative instances pairwise, in canonical order
+(``(start, -end, series, symbol)``), and, if every pair has a relation,
+records a pattern occurrence. Each pattern's granules then get the
+Def. 3.17 season count, and only a frequent one a full verdict, built
+from the granule ints the caller passed in.
 
 :func:`mine_brute` feeds it every event subset up to ``max_k`` with the
 granules shared by its members. That is exponential on purpose, only
@@ -20,9 +22,15 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable
 
-from .events import EventInstance, pair_relation
+from .events import EventInstance, relation
 from .hlh import Pattern
-from .seasonal import STPMParams, SeasonalVerdict, evaluate_seasonality
+from .seasonal import (
+    STPMParams,
+    SeasonalVerdict,
+    count_seasons,
+    evaluate_seasonality,
+    position_bits,
+)
 from .sequences import DSeq
 
 
@@ -33,6 +41,13 @@ def representatives(dseq: DSeq) -> dict[str, dict[int, EventInstance]]:
         for inst in insts:
             rep.setdefault(inst.event, {}).setdefault(h, inst)
     return rep
+
+
+def _verdict(granules: Iterable[int], params: STPMParams) -> SeasonalVerdict | None:
+    """Def. 3.17 verdict of a frequent support, None for any other."""
+    if count_seasons(position_bits(granules), params) >= params.min_season:
+        return evaluate_seasonality(granules, params)
+    return None
 
 
 def mine_patterns(
@@ -46,31 +61,44 @@ def mine_patterns(
     event of a set must have a representative at each of its granules.
     A one-event set is checked as a single on its granules.
     """
+    eps, d_o = params.epsilon, params.d_o
     singles: dict[str, SeasonalVerdict] = {}
     patterns: dict[Pattern, SeasonalVerdict] = {}
     for itemset, granules in itemsets:
         if len(itemset) == 1:
-            verdict = evaluate_seasonality(granules, params)
-            if verdict.frequent:
+            if verdict := _verdict(granules, params):
                 singles[itemset[0]] = verdict
             continue
-        per_pattern: dict[Pattern, list[int]] = {}
+        # per pair: both events' representatives and keys, and whether the
+        # first event comes first on equal spans, by (series, symbol) as in
+        # canonical_sort_key (not by key string: "x40:1" < "x4:1")
+        firsts = [next(iter(rep[e].values())) for e in itemset]
+        pairs = [
+            (rep[ev_i], rep[ev_j], ev_i, ev_j, (a.series, a.symbol) < (b.series, b.symbol))
+            for (ev_i, a), (ev_j, b) in combinations(zip(itemset, firsts), 2)
+        ]
+        # keyed by the triples in pair order, which name one pattern per
+        # itemset; sorted into the pattern only if frequent
+        per_pattern: dict[tuple, list[int]] = {}
         for h in granules:
             triples = []
-            for ea, eb in combinations(itemset, 2):
-                r = pair_relation(
-                    rep[ea][h], rep[eb][h], epsilon=params.epsilon, d_o=params.d_o
-                )
-                if r is None:
+            for rep_i, rep_j, ev_i, ev_j, i_wins_tie in pairs:
+                a, b = rep_i[h], rep_j[h]
+                sa, ea, sb, eb = a.start, a.end, b.start, b.end
+                if sa < sb or sa == sb and (ea > eb or ea == eb and i_wins_tie):
+                    rel = relation(sa, ea, sb, eb, eps, d_o)
+                    triple = (rel, ev_i, ev_j)
+                else:
+                    rel = relation(sb, eb, sa, ea, eps, d_o)
+                    triple = (rel, ev_j, ev_i)
+                if rel is None:
                     break
-                rel, first, second = r
-                triples.append((rel, first.event, second.event))
+                triples.append(triple)
             else:
-                per_pattern.setdefault(tuple(sorted(triples)), []).append(h)
-        for pattern, sup in per_pattern.items():
-            verdict = evaluate_seasonality(sup, params)
-            if verdict.frequent:
-                patterns[pattern] = verdict
+                per_pattern.setdefault(tuple(triples), []).append(h)
+        for triples, sup in per_pattern.items():
+            if verdict := _verdict(sup, params):
+                patterns[tuple(sorted(triples))] = verdict
     return singles, patterns
 
 

@@ -12,7 +12,8 @@ Mining runs in two steps over a temporal sequence database:
    through the transitivity filter (Lemmas 3-4). k = 2 relates two
    events once per pair of shapes; k >= 3 ANDs the parent pattern's
    bitset with one 2-event pattern per new pair. Candidate patterns
-   finally undergo the full seasonal check (Def. 3.17).
+   finally undergo the seasonal check (Def. 3.17): seasons are counted
+   on the bitset, and only a frequent candidate gets a verdict.
 
 Pruning toggles reproduce the paper's ablation (Figs. 15-16):
 ``apriori=False`` disables every maxSeason gate, ``transitivity=False``
@@ -33,7 +34,7 @@ from itertools import combinations
 
 from .events import relation
 from .hlh import HLH1, EventEntry, GroupEntry, HLHk, Pattern
-from .seasonal import STPMParams, SeasonalVerdict, evaluate_seasonality
+from .seasonal import STPMParams, SeasonalVerdict, count_seasons, evaluate_seasonality
 from .sequences import DSeq
 
 
@@ -163,9 +164,8 @@ def mine(
     }
     res.stats["n_candidate_events"] = len(hlh1)
     for ev, entry in hlh1.items():
-        verdict = evaluate_seasonality(entry.sup, params)
-        if verdict.frequent:
-            res.singles[ev] = verdict
+        if count_seasons(entry.sup, params) >= params.min_season:
+            res.singles[ev] = evaluate_seasonality(entry.sup, params)
 
     if params.max_k < 2:
         return res
@@ -232,9 +232,8 @@ def mine(
         for g in hlh.groups.values():
             for pattern, sup in g.patterns.items():
                 n_candidates += 1
-                verdict = evaluate_seasonality(sup, params)
-                if verdict.frequent:
-                    res.patterns[pattern] = verdict
+                if count_seasons(sup, params) >= params.min_season:
+                    res.patterns[pattern] = evaluate_seasonality(sup, params)
     res.stats["n_candidate_patterns"] = n_candidates
     res.stats["n_frequent_patterns"] = len(res.patterns)
     res.stats["n_frequent_singles"] = len(res.singles)

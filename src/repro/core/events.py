@@ -75,13 +75,3 @@ def relation(
         return OVERLAPS
     return None
 
-
-def pair_relation(
-    x: EventInstance, y: EventInstance, *, epsilon: int = 0, d_o: int = 1
-) -> tuple[str, EventInstance, EventInstance] | None:
-    """Order two instances canonically and classify; ``(rel, first, second)``."""
-    a, b = sorted((x, y), key=canonical_sort_key)
-    rel = relation(a.start, a.end, b.start, b.end, epsilon, d_o)
-    if rel is None:
-        return None
-    return rel, a, b

@@ -1,14 +1,17 @@
 """Seasonality (Defs. 3.14-3.17) and the maxSeason gate (Eq. 1).
 
-Granule positions here are 0-indexed ints; a support set is a sorted
-tuple of positions (:func:`evaluate_seasonality` also takes the bitset
-form E-STPM keeps, bit ``h`` set iff granule ``h`` is in).
-``maxPeriod``/``minDensity`` are absolute granule counts (use
-:func:`repro.core.granularity.pct_to_count` to convert the
-paper's percentage parameters).
+Granule positions here are 0-indexed ints. A support set is a bitset
+(bit ``h`` set iff granule ``h`` is in) or a collection of positions; a
+verdict holds it as a sorted tuple. ``maxPeriod``/``minDensity`` are
+absolute granule counts (use :func:`repro.core.granularity.pct_to_count`
+to convert the paper's percentage parameters).
 
-:func:`evaluate_seasonality` is the one copy of Defs. 3.15-3.17, and
-:attr:`STPMParams.min_support` the one copy of Eq. 1's gate.
+:func:`count_seasons` is the one copy of Defs. 3.15-3.17: it counts the
+seasons of a bitset with a few big-int operations per near support set,
+so every miner counts each candidate's seasons first and calls
+:func:`evaluate_seasonality`, which builds the full verdict from the
+same loop, only for a frequent one. :attr:`STPMParams.min_support` is
+the one copy of Eq. 1's gate.
 
 Season counting (Def. 3.17): the paper requires every pair of
 *consecutive* seasons to be within ``distInterval``. Its Algorithm 1
@@ -21,6 +24,7 @@ choice and the paper's (internally inconsistent) M:1>=N:1 worked example.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from itertools import accumulate
 from typing import Iterable
@@ -88,33 +92,77 @@ def bit_positions(bits: int) -> tuple[int, ...]:
     return tuple(accumulate(map(len, steps), initial=-1))[1:]
 
 
+def count_seasons(
+    bits: int, params: STPMParams, seasons: list[tuple[int, int]] | None = None
+) -> int:
+    """Def. 3.17's season count of the support bitset ``bits``.
+
+    Shifting ``bits`` left by 1 .. maxPeriod-1 and OR-ing closes every
+    period of at most maxPeriod, so each run of set bits in ``closed`` is
+    one near support set (Def. 3.15) and ``bits & run`` its granules.
+    Runs are peeled off lowest first. A run holding at least minDensity
+    granules is a season (Def. 3.16); its distance to the previous
+    season, ``p(first of S) - p(last of S_prev)``, extends the
+    distInterval chain or restarts it. Returns the longest chain;
+    ``seasons``, when given, receives each season's ``(first granule,
+    size)``.
+    """
+    if bits < 0:
+        raise ValueError("a support bitset cannot be negative")
+    max_period, min_density = params.max_period, params.min_density
+    dist_min, dist_max = params.dist_min, params.dist_max
+    closed = bits
+    for shift in range(1, max_period):
+        closed |= bits << shift
+    best = chain = 0
+    last = None  # last granule of the previous season
+    while closed:
+        low = closed & -closed
+        run = (closed ^ (closed + low)) & closed
+        closed ^= run
+        held = bits & run
+        size = held.bit_count()
+        if size < min_density:
+            continue
+        first = low.bit_length() - 1
+        if last is not None and dist_min <= first - last <= dist_max:
+            chain += 1
+        else:
+            chain = 1
+        if chain > best:
+            best = chain
+        last = held.bit_length() - 1
+        if seasons is not None:
+            seasons.append((first, size))
+    return best
+
+
+def position_bits(positions: Iterable[int]) -> int:
+    """The bitset of granule positions (bit ``h`` set iff ``h`` is in)."""
+    bits = 0
+    for h in positions:
+        bits |= 1 << h
+    return bits
+
+
 def evaluate_seasonality(sup: Iterable[int] | int, params: STPMParams) -> SeasonalVerdict:
     """Full Def. 3.17 check: seasons + distInterval chain + minSeason.
 
     ``sup`` is a collection of granule positions or a bitset of them.
-    One pass over the sorted positions: a period above maxPeriod (or the
-    end of SUP) closes a near support set (Def. 3.15); a closed set of at
-    least minDensity granules is a season (Def. 3.16); each season's
-    distance to the previous season, ``p(first of S) - p(last of S_prev)``,
-    extends the distInterval chain or restarts it. ``n_seasons`` is the
-    longest chain.
+    :func:`count_seasons` finds the seasons; each is then the slice of
+    the sorted positions that starts at the season's first granule. A
+    verdict built from positions keeps the caller's int objects.
     """
-    s = bit_positions(sup) if isinstance(sup, int) else tuple(sorted(sup))
-    max_period, min_density = params.max_period, params.min_density
-    dist_min, dist_max = params.dist_min, params.dist_max
-    seasons: list[tuple[int, ...]] = []
-    best = chain = first = 0  # first: index where the open near support set starts
-    for i in range(1, len(s) + 1):
-        if i < len(s) and s[i] - s[i - 1] <= max_period:
-            continue
-        if i - first >= min_density:
-            if seasons and dist_min <= s[first] - seasons[-1][-1] <= dist_max:
-                chain += 1
-            else:
-                chain = 1
-            best = max(best, chain)
-            seasons.append(s[first:i])
-        first = i
-    return SeasonalVerdict(
-        sup=s, seasons=tuple(seasons), n_seasons=best, frequent=best >= params.min_season
-    )
+    if isinstance(sup, int):
+        bits, s = sup, None
+    else:
+        s = tuple(sorted(sup))
+        if s and s[0] < 0:
+            raise ValueError(f"granule positions must be >= 0, got {s[0]}")
+        bits = position_bits(s)
+    found: list[tuple[int, int]] = []
+    n = count_seasons(bits, params, found)
+    if s is None:
+        s = bit_positions(bits)
+    seasons = tuple(s[(i := bisect_left(s, first)) : i + size] for first, size in found)
+    return SeasonalVerdict(sup=s, seasons=seasons, n_seasons=n, frequent=n >= params.min_season)

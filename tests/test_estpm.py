@@ -58,6 +58,14 @@ def seasonal_symbolic(seed: int, n_series=4, n_granules=60, m=4) -> dict:
     return out
 
 
+def verdicts(singles, patterns) -> tuple[dict, dict]:
+    """Each frequent single's and pattern's support and season count."""
+    return (
+        {e: (v.sup, v.n_seasons) for e, v in singles.items()},
+        {p: (v.sup, v.n_seasons) for p, v in patterns.items()},
+    )
+
+
 def tie_symbolic(n_granules=72, m=4) -> dict:
     """Series ``x4``/``x40``/``x43``: equal spans in even active granules,
     strictly ordered spans in odd ones, 12-granule seasons.
@@ -129,11 +137,10 @@ def test_prune_configs_match_brute_and_aps_on_ties(cfg):
     b_singles, b_patterns = mine_brute(dseq, params)
     assert any(len(p) == 3 for p in b_patterns)  # the input exercises k = 3
     res = mine(dseq, params, **cfg)
-    assert set(res.singles) == set(b_singles)
-    assert set(res.patterns) == set(b_patterns)
-    for p, v in res.patterns.items():
-        assert v.sup == b_patterns[p].sup
-    assert set(res.patterns) == set(mine_aps(dseq, params).patterns)
+    expect = verdicts(b_singles, b_patterns)
+    assert verdicts(res.singles, res.patterns) == expect
+    aps = mine_aps(dseq, params)
+    assert verdicts(aps.singles, aps.patterns) == expect
 
 
 @pytest.mark.parametrize("eps,d_o", [(1, 1), (0, 2), (1, 2)])
@@ -281,31 +288,38 @@ def tie_cases(draw):
 @given(tie_cases())
 def test_prune_configs_match_brute_property(case):
     """Every pruning config and APS-growth equal brute force, supports
-    included, on shape ties, every epsilon (Contains > Follows >
-    Overlaps) and d_o."""
+    and season counts included, on shape ties, every epsilon (Contains >
+    Follows > Overlaps) and d_o."""
     dseq, params = case
-
-    def sups(singles, patterns):
-        return (
-            {e: v.sup for e, v in singles.items()},
-            {p: v.sup for p, v in patterns.items()},
-        )
-
-    expect = sups(*mine_brute(dseq, params))
+    expect = verdicts(*mine_brute(dseq, params))
     for cfg in PRUNE_CONFIGS:
         res = mine(dseq, params, **cfg.values[0])
-        assert sups(res.singles, res.patterns) == expect
+        assert verdicts(res.singles, res.patterns) == expect
     aps = mine_aps(dseq, params)
-    assert sups(aps.singles, aps.patterns) == expect
+    assert verdicts(aps.singles, aps.patterns) == expect
+
+
+def run_without_numpy(body: str) -> None:
+    """Run ``body`` in a fresh interpreter where numpy and pandas are
+    unimportable, and check it imported neither."""
+    code = 'import sys\nsys.modules["numpy"] = sys.modules["pandas"] = None\n'
+    code += textwrap.dedent(body)
+    code += 'assert sys.modules["numpy"] is None and sys.modules["pandas"] is None\n'
+    src = Path(repro.__file__).resolve().parents[1]
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join((str(src), str(root))))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, cwd=root, capture_output=True, text=True
+    )
+    assert out.returncode == 0, out.stderr
 
 
 def test_estpm_never_imports_numpy():
     """E-STPM runs with numpy and pandas unimportable, so a mining call
     never pays their first-use memory."""
-    code = textwrap.dedent(
+    run_without_numpy(
         """
-        import random, sys
-        sys.modules["numpy"] = sys.modules["pandas"] = None
+        import random
         from repro.core.estpm import mine
         from repro.core.sequences import build_dseq
         from tests.paper_example import EXAMPLE_PARAMS, example_dseq
@@ -316,13 +330,26 @@ def test_estpm_never_imports_numpy():
             for apriori in (False, True):
                 for transitivity in (False, True):
                     mine(dseq, EXAMPLE_PARAMS, apriori=apriori, transitivity=transitivity)
-        assert sys.modules["numpy"] is None and sys.modules["pandas"] is None
         """
     )
-    src = Path(repro.__file__).resolve().parents[1]
-    root = Path(__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join((str(src), str(root))))
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, cwd=root, capture_output=True, text=True
+
+
+def test_aps_and_brute_never_import_numpy():
+    """APS-growth and brute force run with numpy and pandas unimportable
+    too: their seasonal check is ints and ``bisect``, so a peak-memory
+    measurement of APS-growth never includes numpy's first use."""
+    run_without_numpy(
+        """
+        import random
+        from repro.baseline.aps import mine_aps
+        from repro.core.brute import mine_brute
+        from repro.core.sequences import build_dseq
+        from tests.paper_example import EXAMPLE_PARAMS, example_dseq
+
+        rng = random.Random(7)
+        sym = {f"S{i}": rng.choices("012", k=120) for i in range(4)}
+        for dseq in (example_dseq(), build_dseq(sym, m=4)):
+            assert mine_aps(dseq, EXAMPLE_PARAMS).patterns
+            mine_brute(dseq, EXAMPLE_PARAMS)
+        """
     )
-    assert out.returncode == 0, out.stderr

