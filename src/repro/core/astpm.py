@@ -11,11 +11,11 @@ restricted HLH_2 (so the approximation cascades, as in the paper).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Mapping, Sequence
 
 from .estpm import MiningResult, build_event_supports, mine
-from .mi import mu_series_pair, pair_min_nmis, probabilities
+from .mi import encode, min_nmis, mu_matrix
 from .seasonal import STPMParams
 from .sequences import DSeq
 
@@ -45,23 +45,26 @@ def screen_correlated(
 ) -> CorrelationReport:
     """MI screening (Alg. 2 lines 1-5) over the symbolic database.
 
+    Each series is encoded once (:func:`repro.core.mi.encode`); the NMIs
+    and the mu thresholds of all pairs then come from a fixed number of
+    numpy calls, and only popcounts and the report run pair by pair.
     ``pair_nmis`` (from :func:`repro.core.mi.pair_min_nmis`) lets callers
     reuse the NMI matrix across threshold configurations — the paper
     notes MI is computed once per dataset while mu varies per setting.
     """
-    names = sorted(symbolic)
-    probs = {s: probabilities(symbolic[s]) for s in names}
-    rep = CorrelationReport(n_series=len(names))
+    enc = encode(symbolic)
+    names = enc.names
+    keys = list(map(frozenset, combinations(names, 2)))
     if pair_nmis is None:
-        pair_nmis = pair_min_nmis(symbolic)
-    for xa, xb in combinations(names, 2):
-        min_nmi = pair_nmis[frozenset((xa, xb))]
-        mu = mu_series_pair(probs[xa], probs[xb], min_support=params.min_support, n_seq=n_seq)
-        key = frozenset((xa, xb))
-        rep.pair_scores[key] = (min_nmi, mu)
-        if min_nmi >= mu:
-            rep.correlated_pairs.add(key)
-            rep.kept_series.update((xa, xb))
+        nmis = min_nmis(enc)
+    else:
+        nmis = list(map(pair_nmis.__getitem__, keys))
+    mu = mu_matrix(enc, min_support=params.min_support, n_seq=n_seq).tolist()
+    mus = [v for i, row in enumerate(mu) for v in row[i + 1 :]]
+    rep = CorrelationReport(n_series=len(names))
+    rep.pair_scores = dict(zip(keys, zip(nmis, mus)))
+    rep.correlated_pairs = {key for key, v, m in zip(keys, nmis, mus) if v >= m}
+    rep.kept_series = set(chain.from_iterable(rep.correlated_pairs))
     rep.pruned_series = set(names) - rep.kept_series
     return rep
 

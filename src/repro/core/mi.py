@@ -1,9 +1,24 @@
 """Mutual information machinery for A-STPM (Section V).
 
-Implements entropy and (normalized) mutual information over *aligned*
-symbolic series (Defs. 5.1-5.3), the Lambert W function (principal
-branch, needed by Theorem 1's lower bound; scipy is not a dependency, so
-Halley iteration), and the mu threshold of Corollary 1.1.
+A-STPM's screen needs two numbers per series pair: the smaller of the
+two normalized MIs (Defs. 5.1-5.3, Eqs. 2-5) and the mu threshold of
+Corollary 1.1. Both are computed for all pairs at once, and no numpy or
+``math`` call runs once per pair:
+
+* :func:`encode` checks the series and reads each one's sorted levels
+  and per-level counts, from which ``p(x) = count / n``.
+* :func:`joint_counts` turns each series once into one Python-int
+  bitset per level (:func:`level_bits`) and counts each pair's joint
+  occurrences by popcount.
+  :func:`nmi_from_joint_counts` turns all pairs' counts into NMI with a
+  fixed number of numpy calls.
+* :func:`mu_matrix` evaluates Corollary 1.1 with ``math`` per series and
+  per symbol, then combines them over all pairs with elementwise numpy
+  ops in the same order as the scalar formula.
+
+The scalar formulas (entropy, MI, NMI, Lambert W, Theorem 1's bound,
+Corollary 1.1 per event pair) are the tests' oracle, in
+``tests/mi_oracle.py``.
 
 All logarithms are base 2, matching the paper's use of ``log`` for
 entropies and ``ln`` where it says so.
@@ -17,68 +32,110 @@ of rho that inverting its Lambert W gives:
 from __future__ import annotations
 
 import math
-from collections import Counter
-from itertools import combinations
+from dataclasses import dataclass
+from itertools import chain, combinations
 from typing import Mapping, Sequence
 
 import numpy as np
 
 _E_INV = 1.0 / math.e
+_LN2 = math.log(2.0)
+_E_LN2 = math.e * _LN2
 
 
-def probabilities(symbols: Sequence[str]) -> dict[str, float]:
-    """Empirical symbol distribution p(x) of a symbolic series."""
-    n = len(symbols)
-    if n == 0:
-        raise ValueError("empty series")
-    return {s: c / n for s, c in Counter(symbols).items()}
+@dataclass(frozen=True)
+class Encoded:
+    """Aligned symbolic series, checked and reduced to their level counts.
 
-
-def joint_probabilities(xs: Sequence[str], ys: Sequence[str]) -> dict[tuple[str, str], float]:
-    """Empirical joint distribution p(x, y) of two aligned symbolic series."""
-    if len(xs) != len(ys):
-        raise ValueError(f"length mismatch: {len(xs)} vs {len(ys)}")
-    n = len(xs)
-    if n == 0:
-        raise ValueError("empty series")
-    return {xy: c / n for xy, c in Counter(zip(xs, ys)).items()}
-
-
-def entropy(p: Mapping[str, float]) -> float:
-    """Shannon entropy H(X) in bits (Eq. 2)."""
-    return -sum(v * math.log2(v) for v in p.values() if v > 0)
-
-
-def mutual_information(xs: Sequence[str], ys: Sequence[str]) -> float:
-    """I(X;Y) in bits (Eq. 4)."""
-    px, py = probabilities(xs), probabilities(ys)
-    joint = joint_probabilities(xs, ys)
-    out = 0.0
-    for (x, y), pxy in joint.items():
-        if pxy > 0:
-            out += pxy * math.log2(pxy / (px[x] * py[y]))
-    return max(0.0, out)
-
-
-def nmi(xs: Sequence[str], ys: Sequence[str]) -> float:
-    """Normalized MI, Ĩ(X;Y) = I(X;Y)/H(X) (Eq. 5). Asymmetric by design.
-
-    A constant X has H(X)=0 and shares no information; we return 0.0
-    (nothing can reduce zero uncertainty) rather than dividing by zero.
+    ``levels[s]`` are the sorted symbols of series ``names[s]`` and
+    ``counts[s][a]`` its instants at ``levels[s][a]``.
     """
-    h = entropy(probabilities(xs))
-    if h == 0.0:
-        return 0.0
-    return min(1.0, mutual_information(xs, ys) / h)
+
+    names: list[str]
+    n: int
+    series: list[Sequence[str]]
+    levels: list[list[str]]
+    counts: list[list[int]]
+
+    @property
+    def k(self) -> int:
+        """The largest alphabet, the padded width of the joint counts."""
+        return max(map(len, self.levels), default=1)
+
+
+def encode(symbolic: Mapping[str, Sequence[str]]) -> Encoded:
+    """Encode every series of ``symbolic``, sorted by name.
+
+    The series must be complete: equal lengths, at least one instant and
+    no missing instant (``None``); otherwise a ``ValueError`` names the
+    offending series.
+    """
+    names = sorted(symbolic)
+    lengths = {len(symbolic[s]) for s in names}
+    if len(lengths) > 1:
+        raise ValueError(
+            "series differ in length: "
+            + ", ".join(f"{s}={len(symbolic[s])}" for s in names)
+        )
+    n = lengths.pop() if lengths else 0
+    if names and n == 0:
+        raise ValueError("series with no instants: " + ", ".join(names))
+    series, levels, counts = [], [], []
+    for s in names:
+        seq = symbolic[s]
+        present = set(seq)
+        if None in present:
+            raise ValueError(f"series {s} has missing instants (None)")
+        series.append(seq)
+        levels.append(sorted(present))
+        counts.append(list(map(seq.count, levels[-1][:-1])))
+        counts[-1].append(n - sum(counts[-1]))
+    return Encoded(names=names, n=n, series=series, levels=levels, counts=counts)
+
+
+def level_bits(seq: Sequence[str], levels: list[str]) -> list[int]:
+    """One Python-int bitset per level of ``seq``: bit ``t`` is set where
+    ``seq[t]`` is that level (E-STPM keeps granule sets the same way)."""
+    out, rest = [], (1 << len(seq)) - 1
+    # one pass per level but the last, which takes the instants left
+    for level in levels[:-1]:
+        digit = dict.fromkeys(levels, "0")
+        digit[level] = "1"
+        bits = int("".join(map(digit.__getitem__, reversed(seq))), 2)
+        out.append(bits)
+        rest ^= bits
+    return out + [rest]
+
+
+def joint_counts(enc: Encoded) -> np.ndarray:
+    """``counts[p, a, b]``: instants where, for the ``p``-th pair ``(i, j)``
+    of ``combinations(range(len(enc.names)), 2)``, series ``i`` is at its
+    level ``a`` and series ``j`` at its level ``b``.
+
+    Each series' levels are its own, sorted and zero-padded to ``enc.k``.
+    Every cell is a popcount of two level bitsets; the pairs of series
+    ``i`` with every later ``j`` are counted together, one cell at a time.
+    """
+    n_series, k = len(enc.names), enc.k
+    bits = list(map(level_bits, enc.series, enc.levels))
+    # every series' bitset at level a, 0 (no instant) where it has fewer levels
+    bits_at = [[b[a] if a < len(b) else 0 for b in bits] for a in range(k)]
+    flat: list[int] = []
+    for i in range(n_series - 1):
+        cells = (
+            [(xs[i] & y).bit_count() for y in ys[i + 1 :]] for xs in bits_at for ys in bits_at
+        )
+        flat.extend(chain.from_iterable(zip(*cells)))
+    return np.array(flat, dtype=np.intp).reshape(-1, k, k)
 
 
 def nmi_from_joint_counts(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(NMI(X;Y), NMI(Y;X))`` from joint counts ``counts[..., |X|, |Y|]``.
 
-    Eqs. 2-5 vectorised over the leading axes, with the same conventions
-    as :func:`nmi` (MI floored at 0, NMI capped at 1, 0.0 for a constant
-    series). All-zero rows or columns (padding for symbols a series
-    lacks) add nothing.
+    Eqs. 2-5 vectorised over the leading axes: MI is floored at 0, NMI
+    capped at 1, and a constant X (H(X) = 0) gets 0.0, as nothing can
+    reduce zero uncertainty. All-zero rows or columns (padding for
+    symbols a series lacks) add nothing.
     """
     joint = np.asarray(counts, dtype=float)
     joint = joint / joint.sum(axis=(-2, -1), keepdims=True)
@@ -95,124 +152,71 @@ def nmi_from_joint_counts(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return nmi_over(px), nmi_over(py)
 
 
-def _pair_nmis(
-    symbolic: Mapping[str, Sequence[str]],
-) -> tuple[list[str], list[tuple[int, int]], np.ndarray, np.ndarray]:
-    """``(names, pairs, nmi_xy, nmi_yx)`` over every pair ``i < j`` of the
-    sorted series names, the two NMI directions aligned with ``pairs``."""
-    names = sorted(symbolic)
-    lengths = {len(symbolic[s]) for s in names}
-    if len(lengths) > 1:
-        raise ValueError(
-            "series differ in length: "
-            + ", ".join(f"{s}={len(symbolic[s])}" for s in names)
-        )
-    codes, k = [], 1
-    for s in names:
-        symbols = np.asarray(symbolic[s])
-        if symbols.dtype == object and any(x is None for x in symbolic[s]):
-            raise ValueError(f"series {s} has missing instants (None)")
-        levels, inv = np.unique(symbols, return_inverse=True)
-        codes.append(inv.astype(np.min_scalar_type(len(levels))))
-        k = max(k, len(levels))
-    pairs = list(combinations(range(len(names)), 2))
-    counts = np.empty((len(pairs), k * k), dtype=np.intp)
-    for p, (i, j) in enumerate(pairs):
-        joint = np.multiply(codes[i], k, dtype=np.intp)
-        joint += codes[j]
-        counts[p] = np.bincount(joint, minlength=k * k)
-    nmi_xy, nmi_yx = nmi_from_joint_counts(counts.reshape(-1, k, k))
-    return names, pairs, nmi_xy, nmi_yx
+def directional_nmis(enc: Encoded) -> tuple[np.ndarray, np.ndarray]:
+    """``(NMI(X;Y), NMI(Y;X))`` for every pair ``(X, Y)`` of
+    ``combinations(enc.names, 2)``, in that order."""
+    return nmi_from_joint_counts(joint_counts(enc))
+
+
+def min_nmis(enc: Encoded) -> list[float]:
+    """min(NMI(X;Y), NMI(Y;X)) for every pair of ``combinations(enc.names, 2)``."""
+    return np.minimum(*directional_nmis(enc)).tolist()
 
 
 def pair_min_nmis(symbolic: Mapping[str, Sequence[str]]) -> dict[frozenset, float]:
     """min(NMI(X;Y), NMI(Y;X)) for every unordered pair of aligned series.
 
-    The series must be complete: equal lengths and no missing instant.
+    The series must be complete, as :func:`encode` checks.
     """
-    names, pairs, nmi_xy, nmi_yx = _pair_nmis(symbolic)
-    return {
-        frozenset((names[i], names[j])): v
-        for (i, j), v in zip(pairs, np.minimum(nmi_xy, nmi_yx).tolist())
-    }
+    enc = encode(symbolic)
+    return dict(zip(map(frozenset, combinations(enc.names, 2)), min_nmis(enc)))
 
 
-def lambert_w(x: float) -> float:
-    """Principal branch W_0: solves w * e^w = x for x >= -1/e.
+def mu_matrix(enc: Encoded, *, min_support: int, n_seq: int) -> np.ndarray:
+    """Corollary 1.1 for every series pair: ``mu[x, y]``, symmetric.
 
-    Halley iteration from a standard initial guess until a step moves w by
-    at most 1e-12 relative (100 steps at most); inputs a hair below
-    -1/e (float noise from callers) are clamped to the branch point.
+    For the direction X -> Y, ``lambda1 = min_x p(x)`` and ``lambda2 = p(y)``
+    for each symbol y of Y, with ``rho = min_support / (lambda2 * n_seq)``
+    (``min_support`` = minSeason·minDensity, ``STPMParams.min_support``):
+
+    * case 1, rho <= 1/e: ``mu = 1 - lambda2 / (e·ln2·log2(1/lambda1))``;
+    * case 2: ``mu = 1 - rho·lambda2·ln(rho) / (ln2·log2(lambda1))``
+      (appendix Eqs. 36/37; may exceed 1 when the thresholds are
+      unreachable, and then no NMI qualifies);
+    * a constant X (``lambda1 = 1``) carries no information, so no NMI
+      evidence can certify the bound: mu is 1, reached only at perfect
+      NMI (Def. 5.4 requires 0 < mu).
+
+    Per Section V-B, a series pair's mu is the minimum over its event
+    pairs, in both directions, as NMI is asymmetric. The ``math`` calls
+    run once per series and per symbol; numpy only divides, subtracts
+    and takes minima, in the scalar formula's order, so every value is
+    the one the formula gives pair by pair.
     """
-    if x < -_E_INV:
-        if x < -_E_INV - 1e-9:
-            raise ValueError(f"lambert_w undefined for x={x} < -1/e")
-        x = -_E_INV
-    if x == -_E_INV:
-        return -1.0
-    w = math.log1p(x) if x > -0.25 else -1.0 + math.sqrt(2.0 * (1.0 + math.e * x))
-    for _ in range(100):
-        ew = math.exp(w)
-        f = w * ew - x
-        denom = ew * (w + 1.0) - (w + 2.0) * f / (2.0 * w + 2.0) if w != -1.0 else ew
-        w_new = w - f / denom
-        if abs(w_new - w) <= 1e-12 * (1.0 + abs(w_new)):
-            return w_new
-        w = w_new
-    return w
-
-
-def max_season_lower_bound(
-    mu: float, lambda1: float, lambda2: float, n_seq: int, min_density: int
-) -> float:
-    """Theorem 1: lower bound of maxSeason(X_1, Y_1) given NMI >= mu."""
-    if not (0 < lambda1 <= 1 and 0 < lambda2 <= 1):
-        raise ValueError("lambda1/lambda2 must be in (0, 1]")
-    if lambda1 == 1.0:
-        # degenerate single-symbol X: log lambda1 = 0 -> bound is the trivial max
-        return lambda2 * n_seq / min_density
-    arg = math.log2(lambda1) * (1.0 - mu) * math.log(2.0) / lambda2
-    arg = max(arg, -_E_INV)
-    return lambda2 * n_seq / min_density * math.exp(lambert_w(arg))
-
-
-def mu_pair(lambda1: float, lambda2: float, *, min_support: int, n_seq: int) -> float:
-    """Corollary 1.1: smallest mu making the Theorem-1 bound reach minSeason.
-
-    ``lambda1`` = min symbol probability of X_S; ``lambda2`` = p(Y_1) for
-    the event pair's Y-side event; ``min_support`` = minSeason·minDensity,
-    the maxSeason gate (``STPMParams.min_support``). Follows appendix
-    Eqs. (36)/(37); the result may exceed 1 when the thresholds are
-    unreachable for this pair (then no finite NMI qualifies, i.e. the
-    pair is prunable).
-    """
-    if lambda1 >= 1.0:
-        # degenerate constant X: it carries no information, so no NMI
-        # evidence can certify the bound — treat the pair as unprunable
-        # only at perfect NMI (Def. 5.4 requires 0 < mu)
-        return 1.0
-    rho = min_support / (lambda2 * n_seq)
-    log_inv_l1 = math.log2(1.0 / lambda1)
-    if rho <= _E_INV:
-        return 1.0 - lambda2 / (math.e * math.log(2.0) * log_inv_l1)
-    # W(a) = ln rho inverts to a = rho ln rho (DESIGN.md, "Corollary 1.1 as written")
-    return 1.0 - rho * lambda2 * math.log(rho) / (math.log(2.0) * math.log2(lambda1))
-
-
-def mu_series_pair(
-    px: Mapping[str, float], py: Mapping[str, float], *, min_support: int, n_seq: int
-) -> float:
-    """Final mu for a series pair: the minimum over all event pairs.
-
-    Per Section V-B, mu is computed per event pair (X_1, Y_1) and the
-    chosen threshold is the minimum across pairs — for the X->Y
-    direction, lambda1 = min_x p(x) is fixed, so the minimizer scans
-    lambda2 = p(y) over Y's symbols. Both directions are taken (NMI is
-    asymmetric) and the overall minimum returned.
-    """
-    out = math.inf
-    for pa, pb in ((px, py), (py, px)):
-        l1 = min(pa.values())
-        for l2 in pb.values():
-            out = min(out, mu_pair(l1, l2, min_support=min_support, n_seq=n_seq))
-    return out
+    n_series, k, n = len(enc.names), enc.k, enc.n
+    den1, den2, num, case1 = [], [], [], []
+    for counts in enc.counts:
+        lambda1 = min(counts) / n
+        if lambda1 >= 1.0:
+            # 1 - num / inf is exactly 1.0
+            den1.append(math.inf)
+            den2.append(math.inf)
+        else:
+            den1.append(_E_LN2 * math.log2(1.0 / lambda1))
+            den2.append(_LN2 * math.log2(lambda1))
+        for c in counts:
+            lambda2 = c / n
+            rho = min_support / (lambda2 * n_seq)
+            case1.append(rho <= _E_INV)
+            # W(a) = ln rho inverts to a = rho ln rho (DESIGN.md, "Corollary 1.1 as written")
+            num.append(lambda2 if rho <= _E_INV else rho * lambda2 * math.log(rho))
+        # pad with copies of the last symbol, which leave the minimum as it is
+        case1 += case1[-1:] * (k - len(counts))
+        num += num[-1:] * (k - len(counts))
+    # mu[x, y, symbol of y], then the minimum over the symbols of y
+    den1_x = np.array(den1).reshape(-1, 1, 1)
+    den2_x = np.array(den2).reshape(-1, 1, 1)
+    num_y = np.array(num).reshape(n_series, k)
+    case1_y = np.array(case1, dtype=bool).reshape(n_series, k)
+    mu = (1.0 - num_y / np.where(case1_y, den1_x, den2_x)).min(axis=-1)
+    return np.minimum(mu, mu.T)

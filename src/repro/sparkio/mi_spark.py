@@ -1,17 +1,20 @@
 """DataFrame-side mutual information (Section V): one task per group.
 
-``nmi_table`` runs the kernel of :func:`repro.core.mi.pair_min_nmis` on
-each replica group's symbols inside ``applyInPandas``, so the Spark and
-pure-Python paths give bitwise-equal values.
+``nmi_table`` runs the kernel of :func:`repro.core.mi.pair_min_nmis`
+(``encode``, then ``directional_nmis``) on each replica group's symbols
+inside ``applyInPandas``, so the Spark and pure-Python paths give
+bitwise-equal values.
 """
 from __future__ import annotations
+
+from itertools import combinations
 
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import types as T
 
-from ..core.mi import _pair_nmis
+from ..core.mi import directional_nmis, encode
 from .mining import _reject_holes, _symbols_from_pdf
 
 
@@ -33,12 +36,14 @@ def nmi_table(sym_df: DataFrame) -> pd.DataFrame:
     )
 
     def fn(pdf: pd.DataFrame) -> pd.DataFrame:
-        names, pairs, nmi_xy, nmi_yx = _pair_nmis(_symbols_from_pdf(pdf))
+        enc = encode(_symbols_from_pdf(pdf))
+        nmi_xy, nmi_yx = directional_nmis(enc)
+        pairs = list(combinations(enc.names, 2))
         return pd.DataFrame(
             {
                 "group": pdf["group"].iloc[0],
-                "sx": [names[i] for i, _ in pairs],
-                "sy": [names[j] for _, j in pairs],
+                "sx": [x for x, _ in pairs],
+                "sy": [y for _, y in pairs],
                 "nmi_xy": nmi_xy,
                 "nmi_yx": nmi_yx,
                 "min_nmi": np.minimum(nmi_xy, nmi_yx),

@@ -7,14 +7,20 @@ That is faithful to the paper's math and is exactly the source of the
 <100% accuracies in its Tables VII/XII; the families below encode both
 sides (copies survive, shifted/noise pruned).
 """
+import math
 import random
+from itertools import combinations
 
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 from repro.core.astpm import accuracy, mine_approx, pct_events_pruned, screen_correlated
 from repro.core.estpm import mine
+from repro.core.mi import pair_min_nmis
 from repro.core.seasonal import STPMParams
 from repro.core.sequences import build_dseq
+
+from .mi_oracle import nmi, probabilities, scalar_screen
 
 PARAMS = STPMParams(
     max_period=3, min_density=3, dist_min=3, dist_max=15, min_season=2, max_k=3
@@ -83,6 +89,114 @@ class TestScreening:
         for min_nmi, mu in rep.pair_scores.values():
             assert 0.0 <= min_nmi <= 1.0
             assert mu > 0
+
+
+def regimes(sym, params, n_seq):
+    """Which Corollary 1.1 branches the event pairs of ``sym`` take."""
+    rhos = [
+        params.min_support / (p * n_seq)
+        for s in sym
+        for p in probabilities(sym[s]).values()
+    ]
+    return {"case 1" if rho <= 1 / math.e else "case 2" for rho in rhos}
+
+
+def assert_matches_scalar_screen(sym, params, n_seq):
+    """``screen_correlated`` equals the pair-by-pair screen of
+    ``mi_oracle``: exact scores and sets given the same NMIs, exact mu
+    with its own NMIs, and ties at mu decided by ``>=``."""
+    names = sorted(sym)
+    nmis = {
+        frozenset((a, b)): min(nmi(sym[a], sym[b]), nmi(sym[b], sym[a]))
+        for a, b in combinations(names, 2)
+    }
+    scores, correlated, kept, pruned = scalar_screen(sym, params.min_support, n_seq, nmis)
+    rep = screen_correlated(sym, params, n_seq, pair_nmis=nmis)
+    assert rep.pair_scores == scores
+    assert list(rep.pair_scores) == list(scores)
+    assert (rep.correlated_pairs, rep.kept_series, rep.pruned_series) == (correlated, kept, pruned)
+    assert rep.n_series == len(names)
+
+    own = screen_correlated(sym, params, n_seq)
+    kernel = pair_min_nmis(sym)
+    assert own.pair_scores == {key: (kernel[key], mu) for key, (_, mu) in scores.items()}
+    for key, (v, _) in own.pair_scores.items():
+        assert v == pytest.approx(nmis[key], abs=1e-12)
+    assert own.correlated_pairs == {k for k, (v, mu) in own.pair_scores.items() if v >= mu}
+
+    mus = {key: mu for key, (_, mu) in scores.items()}
+    tie = screen_correlated(sym, params, n_seq, pair_nmis=mus)
+    assert tie.correlated_pairs == set(mus)
+    assert tie.kept_series == set(names) and not tie.pruned_series
+    below = {key: math.nextafter(mu, -math.inf) for key, mu in mus.items()}
+    short = screen_correlated(sym, params, n_seq, pair_nmis=below)
+    assert not short.correlated_pairs and not short.kept_series
+    assert short.pruned_series == set(names)
+    return mus
+
+
+@st.composite
+def screen_inputs(draw):
+    """2-6 aligned series over a shared 2-5-symbol alphabet, each using a
+    subset of it (one symbol: a constant series), and thresholds from two
+    bands: a long D_SEQ with a small gate (rho <= 1/e) and a short one
+    with a large gate (rho > 1/e, often > 1, where mu exceeds 1)."""
+    alphabet = draw(st.lists(st.sampled_from("abcdefgh"), min_size=2, max_size=5, unique=True))
+    n = draw(st.integers(1, 30))
+    sym = {}
+    for i in range(draw(st.integers(2, 6))):
+        own = draw(st.lists(st.sampled_from(alphabet), min_size=1, max_size=len(alphabet), unique=True))
+        sym[f"s{i}"] = draw(st.lists(st.sampled_from(own), min_size=n, max_size=n))
+    min_season, min_density, n_seq = draw(
+        st.one_of(
+            st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(100, 5000)),
+            st.tuples(st.integers(1, 20), st.integers(1, 20), st.integers(1, 100)),
+        )
+    )
+    params = STPMParams(
+        max_period=1, min_density=min_density, dist_min=0, dist_max=1, min_season=min_season
+    )
+    return sym, params, n_seq
+
+
+class TestScreenOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(screen_inputs())
+    def test_matches_scalar_screen(self, case):
+        sym, params, n_seq = case
+        for regime in regimes(sym, params, n_seq):
+            event(regime)
+        mus = assert_matches_scalar_screen(sym, params, n_seq)
+        if any(mu > 1 for mu in mus.values()):
+            event("mu > 1")
+
+    #: two constant series, a balanced 3-symbol one, its copy, and one
+    #: that lacks a symbol, skewed
+    SYM = {
+        "const": ["a"] * 30,
+        "flat": ["c"] * 30,
+        "full": list("abc") * 10,
+        "copy": list("abc") * 10,
+        "lacks": list("aaaab") * 6,
+    }
+
+    @pytest.mark.parametrize(
+        "min_season, min_density, n_seq, want",
+        [
+            (1, 1, 100, {"case 1"}),
+            (3, 1, 10, {"case 1", "case 2"}),
+            (100, 1, 10, {"case 2"}),
+        ],
+    )
+    def test_matches_scalar_screen_in_each_regime(self, min_season, min_density, n_seq, want):
+        params = STPMParams(
+            max_period=1, min_density=min_density, dist_min=0, dist_max=1, min_season=min_season
+        )
+        assert regimes(self.SYM, params, n_seq) == want
+        mus = assert_matches_scalar_screen(self.SYM, params, n_seq)
+        assert mus[frozenset(("const", "flat"))] == 1.0
+        if want == {"case 2"}:
+            assert mus[frozenset(("full", "lacks"))] > 1
 
 
 class TestMineApprox:

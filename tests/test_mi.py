@@ -1,11 +1,18 @@
-"""Mutual information, Lambert W, Theorem-1 bound, Corollary-1.1 mu."""
+"""Mutual information, Lambert W, Theorem-1 bound, Corollary-1.1 mu.
+
+The scalar formulas live in ``tests/mi_oracle.py``; ``repro.core.mi``'s
+all-pairs kernels are checked against them.
+"""
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core.mi import (
+from repro.core.mi import encode, joint_counts, pair_min_nmis
+
+from .mi_oracle import (
     entropy,
     joint_probabilities,
     lambert_w,
@@ -14,8 +21,8 @@ from repro.core.mi import (
     mu_series_pair,
     mutual_information,
     nmi,
-    pair_min_nmis,
     probabilities,
+    reference_joint_counts,
 )
 
 
@@ -117,6 +124,24 @@ class TestPairMinNMIs:
         sym = {"a": list("0101"), "holed": ["0", None, "0", "1"]}
         with pytest.raises(ValueError, match="holed"):
             pair_min_nmis(sym)
+
+    def test_empty_series_name_the_series(self):
+        """No instants, no distribution: refused by name, not 0.0 after a
+        division by zero."""
+        with pytest.raises(ValueError, match=r"\ba\b.*\bb\b"):
+            pair_min_nmis({"a": [], "b": []})
+
+    @given(symbolic_dbs())
+    def test_joint_counts_keep_the_padded_layout(self, sym):
+        """Popcount joint counts equal one ``np.bincount`` per pair over
+        ``np.unique`` codes: same values, dtype and memory layout, so the
+        NMI kernel sees the identical array."""
+        got = joint_counts(encode(sym))
+        want = reference_joint_counts(sym)
+        assert got.dtype == want.dtype == np.intp
+        assert got.shape == want.shape
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, want)
 
 
 class TestLambertW:

@@ -1,13 +1,14 @@
 """DataFrame-side MI vs core.mi, and A-STPM's input contract on Spark."""
 import pytest
 
-from repro.core.mi import nmi, pair_min_nmis
+from repro.core.mi import pair_min_nmis
 from repro.core.seasonal import STPMParams
 from repro.datasets import gen_symbols
 from repro.experiments.jobs_util import symbols_long_pdf
 from repro.sparkio.mi_spark import nmi_table
 from repro.sparkio.mining import mine_groups
 
+from .mi_oracle import nmi
 from .spark_helpers import SYM_SCHEMA, tiny_profile
 
 pytestmark = pytest.mark.spark
@@ -41,6 +42,26 @@ def test_copy_pair_high_noise_pair_low(sym_df):
     sub = table[table["group"] == 0].set_index(["sx", "sy"])
     assert sub.loc[("cpy", "drv")]["min_nmi"] > 0.9
     assert sub.loc[("drv", "nz")]["min_nmi"] < 0.2
+
+
+def test_three_symbols_with_a_lacking_series(spark):
+    """Joint counts are padded per series: ``b`` lacks ``z`` and ``c`` is
+    constant, and Spark still equals ``pair_min_nmis`` bit for bit."""
+    sym = {
+        "a": list("xyzxyzzyxx"),
+        "b": list("xyyxyxxyxy"),
+        "c": list("zzzzzzzzzz"),
+    }
+    rows = [(0, s, t, v) for s, seq in sym.items() for t, v in enumerate(seq)]
+    table = nmi_table(spark.createDataFrame(rows, SYM_SCHEMA))
+    min_nmis = pair_min_nmis(sym)
+    assert len(table) == 3
+    for row in table.itertuples(index=False):
+        assert row.min_nmi == min_nmis[frozenset((row.sx, row.sy))]
+        assert row.min_nmi == min(row.nmi_xy, row.nmi_yx)
+        assert row.nmi_xy == pytest.approx(nmi(sym[row.sx], sym[row.sy]), abs=1e-12)
+        assert row.nmi_yx == pytest.approx(nmi(sym[row.sy], sym[row.sx]), abs=1e-12)
+    assert table.set_index(["sx", "sy"]).loc[("a", "b"), "min_nmi"] > 0
 
 
 def _holed_frame(spark, *, absent: bool):
