@@ -11,10 +11,11 @@ temporal databases using periodic summaries") in two phases:
    seasonal check; this phase is brute force's pattern enumerator,
    :func:`repro.core.brute.mine_patterns`, fed the recurring sets.
 
-``pstree``   — the FP-tree-style prefix tree with per-node tid lists
+``pstree``   — the FP-tree-style prefix tree with per-node tid bitsets
                (the PS-tree substrate; no periodic summaries, because
                their gate is off: DESIGN.md, "Baseline gate");
-``psgrowth`` — recursive conditional-tree mining of recurring itemsets;
+``psgrowth`` — recursive conditional-tree mining of recurring itemsets,
+               each returned with its tid bitset;
 ``aps``      — the 2-phase APS-growth adaptation used as the paper's
                experimental baseline: PS-growth, then
                ``core.brute.mine_patterns`` (exact, but slower / heavier

@@ -1,14 +1,17 @@
-"""PS-tree: prefix tree over granule transactions with per-node tid lists.
+"""PS-tree: prefix tree over granule transactions with per-node tid bitsets.
 
 The tree is FP-tree shaped: transactions are inserted root-down with
 items in a global frequency order, and a header table links all nodes of
 an item. Where an FP-tree node keeps a count, a PS-tree node keeps the
-*tid list* of the transactions routed through it, which makes the
-adapted seasonal check exact. The PS-growth paper also keeps a periodic
-summary per node for its local-periodicity gate; that gate is off here
-(DESIGN.md, "Baseline gate"), so no summary is kept.
+*tids* of the transactions routed through it, as a bitset (bit ``h`` set
+iff transaction ``h`` passes the node), which makes the adapted seasonal
+check exact. The PS-growth paper also keeps a periodic summary per node
+for its local-periodicity gate; that gate is off here (DESIGN.md,
+"Baseline gate"), so no summary is kept.
 """
 from __future__ import annotations
+
+from typing import Iterable
 
 
 class PSNode:
@@ -20,7 +23,7 @@ class PSNode:
         self.item = item
         self.parent = parent
         self.children: dict[str, PSNode] = {}
-        self.tids: list[int] = []
+        self.tids = 0
         self.link: PSNode | None = None  # next node of same item (header chain)
 
 
@@ -32,8 +35,8 @@ class PSTree:
         self.header: dict[str, PSNode] = {}
         self._header_tail: dict[str, PSNode] = {}
 
-    def insert(self, tid: int, items: list[str]) -> None:
-        """Insert one transaction; ``items`` must already be in tree order."""
+    def insert(self, tids: int, items: list[str]) -> None:
+        """Route the tid bitset ``tids`` down ``items``, already in tree order."""
         node = self.root
         for item in items:
             child = node.children.get(item)
@@ -45,7 +48,7 @@ class PSTree:
                 else:
                     self.header[item] = child
                 self._header_tail[item] = child
-            child.tids.append(tid)
+            child.tids |= tids
             node = child
 
     def item_nodes(self, item: str) -> list[PSNode]:
@@ -55,7 +58,7 @@ class PSTree:
             node = node.link
         return out
 
-    def prefix_paths(self, item: str) -> list[tuple[list[str], list[int]]]:
+    def prefix_paths(self, item: str) -> list[tuple[list[str], int]]:
         """Conditional pattern base of ``item``: (path-to-root items, tids)."""
         out = []
         for node in self.item_nodes(item):
@@ -78,16 +81,14 @@ class PSTree:
 
 
 def build_tree(
-    transactions: dict[int, list[str]],
+    paths: Iterable[tuple[Iterable[str], int]],
     item_order: dict[str, int],
 ) -> PSTree:
-    """Build a PS-tree from tid -> items, keeping only ordered items."""
+    """Build a PS-tree from ``(items, tid bitset)`` paths, in the order
+    given, keeping only ordered items."""
     tree = PSTree()
-    for tid in sorted(transactions):
-        items = sorted(
-            (i for i in set(transactions[tid]) if i in item_order),
-            key=lambda i: item_order[i],
-        )
-        if items:
-            tree.insert(tid, items)
+    for items, tids in paths:
+        kept = sorted({i for i in items if i in item_order}, key=item_order.__getitem__)
+        if kept:
+            tree.insert(tids, kept)
     return tree

@@ -6,20 +6,24 @@ each, and uses *no* data structures and *no* pruning: at each granule it
 relates the set's representative instances pairwise, in canonical order
 (``(start, -end, series, symbol)``), and, if every pair has a relation,
 records a pattern occurrence. Each pattern's granules then get the
-Def. 3.17 season count, and only a frequent one a full verdict, built
-from the granule ints the caller passed in.
+Def. 3.17 season count, and only a frequent one a full verdict. Every
+granule set, the caller's and each pattern's support, is a bitset (bit
+``h`` set iff granule ``h`` is in).
 
 :func:`mine_brute` feeds it every event subset up to ``max_k`` with the
-granules shared by its members. That is exponential on purpose, only
-ever run on tiny inputs in tests, where its output must equal
-:func:`repro.core.estpm.mine` under every pruning configuration (that
-equality is what makes the pruning *safe*, per Lemmas 1-4). APS-growth
+granules shared by its members, the AND of their bitsets. That is
+exponential on purpose, only ever run on tiny inputs in tests, where its
+output must equal :func:`repro.core.estpm.mine` under every pruning
+configuration (that equality is what makes the pruning *safe*, per
+Lemmas 1-4). APS-growth
 (:mod:`repro.baseline.aps`) feeds it PS-growth's recurring itemsets with
-their tid sets instead.
+their tid bitsets instead.
 """
 from __future__ import annotations
 
+from functools import reduce
 from itertools import combinations
+from operator import and_
 from typing import Iterable
 
 from .events import EventInstance, relation
@@ -27,9 +31,9 @@ from .hlh import Pattern
 from .seasonal import (
     STPMParams,
     SeasonalVerdict,
+    bit_positions,
     count_seasons,
     evaluate_seasonality,
-    position_bits,
 )
 from .sequences import DSeq
 
@@ -43,23 +47,23 @@ def representatives(dseq: DSeq) -> dict[str, dict[int, EventInstance]]:
     return rep
 
 
-def _verdict(granules: Iterable[int], params: STPMParams) -> SeasonalVerdict | None:
-    """Def. 3.17 verdict of a frequent support, None for any other."""
-    if count_seasons(position_bits(granules), params) >= params.min_season:
-        return evaluate_seasonality(granules, params)
+def _verdict(sup: int, params: STPMParams) -> SeasonalVerdict | None:
+    """Def. 3.17 verdict of a frequent support bitset, None for any other."""
+    if count_seasons(sup, params) >= params.min_season:
+        return evaluate_seasonality(sup, params)
     return None
 
 
 def mine_patterns(
     rep: dict[str, dict[int, EventInstance]],
-    itemsets: Iterable[tuple[tuple[str, ...], Iterable[int]]],
+    itemsets: Iterable[tuple[tuple[str, ...], int]],
     params: STPMParams,
 ) -> tuple[dict[str, SeasonalVerdict], dict[Pattern, SeasonalVerdict]]:
     """Return (frequent seasonal singles, frequent seasonal k>=2 patterns).
 
-    ``itemsets`` yields ``(sorted event set, granules)`` pairs; every
-    event of a set must have a representative at each of its granules.
-    A one-event set is checked as a single on its granules.
+    ``itemsets`` yields ``(sorted event set, granule bitset)`` pairs;
+    every event of a set must have a representative at each of its
+    granules. A one-event set is checked as a single on its granules.
     """
     eps, d_o = params.epsilon, params.d_o
     singles: dict[str, SeasonalVerdict] = {}
@@ -79,8 +83,8 @@ def mine_patterns(
         ]
         # keyed by the triples in pair order, which name one pattern per
         # itemset; sorted into the pattern only if frequent
-        per_pattern: dict[tuple, list[int]] = {}
-        for h in granules:
+        per_pattern: dict[tuple, int] = {}
+        for h in bit_positions(granules):
             triples = []
             for rep_i, rep_j, ev_i, ev_j, i_wins_tie in pairs:
                 a, b = rep_i[h], rep_j[h]
@@ -95,7 +99,8 @@ def mine_patterns(
                     break
                 triples.append(triple)
             else:
-                per_pattern.setdefault(tuple(triples), []).append(h)
+                key = tuple(triples)
+                per_pattern[key] = per_pattern.get(key, 0) | 1 << h
         for triples, sup in per_pattern.items():
             if verdict := _verdict(sup, params):
                 patterns[tuple(sorted(triples))] = verdict
@@ -105,9 +110,10 @@ def mine_patterns(
 def mine_brute(dseq: DSeq, params: STPMParams) -> tuple[dict[str, SeasonalVerdict], dict[Pattern, SeasonalVerdict]]:
     """Return (frequent seasonal singles, frequent seasonal k>=2 patterns)."""
     rep = representatives(dseq)
+    sup = {e: sum(1 << h for h in granules) for e, granules in rep.items()}
     events = sorted(rep)
     itemsets = (
-        (group, set(rep[group[0]]).intersection(*(rep[e] for e in group[1:])))
+        (group, reduce(and_, (sup[e] for e in group)))
         for k in range(1, params.max_k + 1)
         for group in combinations(events, k)
     )

@@ -1,10 +1,10 @@
 """Seasonality (Defs. 3.14-3.17) and the maxSeason gate (Eq. 1).
 
 Granule positions here are 0-indexed ints. A support set is a bitset
-(bit ``h`` set iff granule ``h`` is in) or a collection of positions; a
-verdict holds it as a sorted tuple. ``maxPeriod``/``minDensity`` are
-absolute granule counts (use :func:`repro.core.granularity.pct_to_count`
-to convert the paper's percentage parameters).
+(bit ``h`` set iff granule ``h`` is in); a verdict holds its positions
+as a sorted tuple. ``maxPeriod``/``minDensity`` are absolute granule
+counts (use :func:`repro.core.granularity.pct_to_count` to convert the
+paper's percentage parameters).
 
 :func:`count_seasons` is the one copy of Defs. 3.15-3.17: it counts the
 seasons of a bitset with a few big-int operations per near support set,
@@ -26,8 +26,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, replace
-from itertools import accumulate
-from typing import Iterable
+from itertools import chain, compress, count
 
 
 @dataclass(frozen=True)
@@ -84,12 +83,19 @@ class SeasonalVerdict:
     frequent: bool
 
 
+#: one int object per granule position below 2048 (every dataset here
+#: has fewer granules), shared by every support decoded below, so the
+#: verdicts of a run do not each hold copies of the same positions
+_GRANULES = tuple(range(2048))
+_BIT = bytes.maketrans(b"01", b"\0\1")
+
+
 def bit_positions(bits: int) -> tuple[int, ...]:
     """Set positions of a bitset (bit ``h`` set iff granule ``h`` is in), ascending."""
-    # bit 0 first, cut after every set bit: each piece's length is the
-    # step from the previous set position to the next
-    steps = bin(bits)[:1:-1].replace("1", "1,").split(",")[:-1]
-    return tuple(accumulate(map(len, steps), initial=-1))[1:]
+    # one selector byte per bit, bit 0 first; positions past the shared
+    # ones are counted on as fresh ints
+    selectors = bin(bits)[:1:-1].encode().translate(_BIT)
+    return tuple(compress(chain(_GRANULES, count(len(_GRANULES))), selectors))
 
 
 def count_seasons(
@@ -137,32 +143,15 @@ def count_seasons(
     return best
 
 
-def position_bits(positions: Iterable[int]) -> int:
-    """The bitset of granule positions (bit ``h`` set iff ``h`` is in)."""
-    bits = 0
-    for h in positions:
-        bits |= 1 << h
-    return bits
-
-
-def evaluate_seasonality(sup: Iterable[int] | int, params: STPMParams) -> SeasonalVerdict:
+def evaluate_seasonality(bits: int, params: STPMParams) -> SeasonalVerdict:
     """Full Def. 3.17 check: seasons + distInterval chain + minSeason.
 
-    ``sup`` is a collection of granule positions or a bitset of them.
-    :func:`count_seasons` finds the seasons; each is then the slice of
-    the sorted positions that starts at the season's first granule. A
-    verdict built from positions keeps the caller's int objects.
+    ``bits`` is the support bitset. :func:`count_seasons` finds the
+    seasons; each is then the slice of the sorted positions that starts
+    at the season's first granule.
     """
-    if isinstance(sup, int):
-        bits, s = sup, None
-    else:
-        s = tuple(sorted(sup))
-        if s and s[0] < 0:
-            raise ValueError(f"granule positions must be >= 0, got {s[0]}")
-        bits = position_bits(s)
     found: list[tuple[int, int]] = []
     n = count_seasons(bits, params, found)
-    if s is None:
-        s = bit_positions(bits)
+    s = bit_positions(bits)
     seasons = tuple(s[(i := bisect_left(s, first)) : i + size] for first, size in found)
     return SeasonalVerdict(sup=s, seasons=seasons, n_seasons=n, frequent=n >= params.min_season)

@@ -66,8 +66,8 @@ def test_c1_contains_d1_support_and_near_sets():
     res = mine(example_dseq(), EXAMPLE_PARAMS)
     pattern = ((CONTAINS, "C:1", "D:1"),)
     group = res.hlhk[2].groups[("C:1", "D:1")]
-    sup = bit_positions(group.patterns[pattern])
-    assert sup == (0, 1, 2, 6, 7, 10, 11, 13)
+    sup = group.patterns[pattern]
+    assert bit_positions(sup) == (0, 1, 2, 6, 7, 10, 11, 13)
     near = evaluate_seasonality(sup, EXAMPLE_PARAMS.with_(min_density=1)).seasons
     assert near == ((0, 1, 2), (6, 7), (10, 11, 13))
     # densities 3, 2, 3 -> two seasons, distance |p(H3)-p(H11)| = 8 in [4,10]

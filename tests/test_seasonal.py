@@ -1,6 +1,8 @@
 """Seasonality: near support sets, seasons, the distInterval chain and the
 maxSeason gate (Defs. 3.14-3.17, Eq. 1), all through the one check
-:func:`evaluate_seasonality` and :attr:`STPMParams.min_support`."""
+:func:`evaluate_seasonality` and :attr:`STPMParams.min_support`. Supports
+are written as granule positions and handed over as bitsets by
+:func:`to_bits`."""
 from itertools import accumulate, groupby
 from operator import itemgetter
 
@@ -12,14 +14,20 @@ from repro.core.seasonal import STPMParams, bit_positions, count_seasons, evalua
 P = STPMParams(max_period=2, min_density=3, dist_min=4, dist_max=10, min_season=2)
 
 
+def to_bits(positions):
+    """The support bitset of granule positions (bit h set iff h is in)."""
+    return sum(1 << h for h in set(positions))
+
+
 def near_sets(sup, max_period):
     """Near support sets (Def. 3.15): the seasons at minDensity 1."""
-    return evaluate_seasonality(sup, P.with_(max_period=max_period, min_density=1)).seasons
+    params = P.with_(max_period=max_period, min_density=1)
+    return evaluate_seasonality(to_bits(sup), params).seasons
 
 
 def chain(seasons, params=P):
     """Longest distInterval chain over ``seasons`` given as position runs."""
-    return evaluate_seasonality([p for s in seasons for p in s], params).n_seasons
+    return evaluate_seasonality(to_bits(p for s in seasons for p in s), params).n_seasons
 
 
 class TestNearSupportSets:
@@ -55,17 +63,17 @@ class TestNearSupportSets:
 class TestSeasons:
     def test_density_filter(self):
         sup = [0, 1, 2, 6, 7, 10, 11, 13]
-        assert evaluate_seasonality(sup, P).seasons == ((0, 1, 2), (10, 11, 13))
+        assert evaluate_seasonality(to_bits(sup), P).seasons == ((0, 1, 2), (10, 11, 13))
 
     def test_distance(self):
         """dist((0, 1, 2), (10, 11, 13)) = p(H_10) - p(H_2) = 8."""
-        sup = [0, 1, 2, 10, 11, 13]
+        sup = to_bits([0, 1, 2, 10, 11, 13])
         assert evaluate_seasonality(sup, P.with_(dist_min=8, dist_max=8)).n_seasons == 2
         assert evaluate_seasonality(sup, P.with_(dist_min=9, dist_max=20)).n_seasons == 1
         assert evaluate_seasonality(sup, P.with_(dist_min=0, dist_max=7)).n_seasons == 1
 
     def test_count_empty(self):
-        v = evaluate_seasonality((), P)
+        v = evaluate_seasonality(to_bits(()), P)
         assert v.seasons == () and v.n_seasons == 0 and not v.frequent
 
     def test_count_single(self):
@@ -105,7 +113,7 @@ class TestMaxSeason:
         sub = data.draw(st.sets(st.sampled_from(sorted(sup)))) if sup else set()
         md, ms = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
         params = P.with_(min_density=md, min_season=ms)
-        if evaluate_seasonality(sub, params).frequent:
+        if evaluate_seasonality(to_bits(sub), params).frequent:
             assert len(sub) >= params.min_support
             assert len(sup) >= params.min_support
 
@@ -117,11 +125,11 @@ class TestMaxSeason:
 
 class TestEvaluate:
     def test_frequent_example(self):
-        v = evaluate_seasonality({0, 1, 2, 6, 7, 10, 11, 13}, P)
+        v = evaluate_seasonality(to_bits({0, 1, 2, 6, 7, 10, 11, 13}), P)
         assert v.n_seasons == 2 and v.frequent
 
     def test_not_frequent_single_big_block(self):
-        v = evaluate_seasonality(set(range(11)), P)
+        v = evaluate_seasonality(to_bits(range(11)), P)
         assert v.n_seasons == 1 and not v.frequent
 
     @given(
@@ -136,25 +144,20 @@ class TestEvaluate:
         params = STPMParams(
             max_period=mp, min_density=md, dist_min=dmin, dist_max=dmin + 10, min_season=ms
         )
-        v = evaluate_seasonality(sup, params)
+        v = evaluate_seasonality(to_bits(sup), params)
         assert v.n_seasons <= len(v.sup) / md
         assert not v.frequent or len(v.sup) >= params.min_support
 
     def test_rejects_negative_positions(self):
-        """A bitset holds no granule below 0, so neither form admits one."""
-        with pytest.raises(ValueError, match="granule positions must be >= 0"):
-            evaluate_seasonality([3, -1, 4], P)
+        """A bitset holds no granule below 0, so a negative int is no support."""
         for check in (evaluate_seasonality, count_seasons):
             with pytest.raises(ValueError, match="cannot be negative"):
                 check(-6, P)
 
-    @given(st.sets(st.integers(0, 700), max_size=120), st.integers(1, 5), st.integers(1, 5))
-    def test_bitset_equals_position_set(self, sup, mp, md):
-        """A bitset (bit h set iff granule h is in) gives the same verdict."""
-        bits = sum(1 << h for h in sup)
-        assert bit_positions(bits) == tuple(sorted(sup))
-        params = P.with_(max_period=mp, min_density=md)
-        assert evaluate_seasonality(bits, params) == evaluate_seasonality(sup, params)
+    @given(st.sets(st.integers(0, 2100), max_size=120))
+    def test_bitset_equals_position_set(self, sup):
+        """A bitset (bit h set iff granule h is in) decodes to its positions."""
+        assert bit_positions(to_bits(sup)) == tuple(sorted(sup))
 
 
 def oracle(sup, params):
@@ -191,17 +194,16 @@ def oracle(sup, params):
 @example({0, 1, 2, 4, 5, 6, 9, 10, 11, 20}, 1, 3, 2, 2, 2)
 @example({0, 2, 4, 7, 8, 30, 31, 33}, 2, 2, 20, 5, 2)
 def test_evaluate_matches_def_3_17_oracle(sup, mp, md, dmin, width, ms):
-    """Positions and bitsets both give the oracle's seasons and count,
-    and the count-only check gives the oracle's count."""
+    """The verdict of the support bitset has the oracle's seasons and
+    count, and the count-only check gives the oracle's count."""
     params = STPMParams(
         max_period=mp, min_density=md, dist_min=dmin, dist_max=dmin + width, min_season=ms
     )
     seasons, n = oracle(sup, params)
     expect = (tuple(sorted(sup)), seasons, n, n >= ms)
-    bits = sum(1 << h for h in sup)
-    for form in (sup, bits):
-        v = evaluate_seasonality(form, params)
-        assert (v.sup, v.seasons, v.n_seasons, v.frequent) == expect
+    bits = to_bits(sup)
+    v = evaluate_seasonality(bits, params)
+    assert (v.sup, v.seasons, v.n_seasons, v.frequent) == expect
     assert count_seasons(bits, params) == n
 
 
