@@ -5,10 +5,10 @@ APS-growth's phase 2.
 each, and uses *no* data structures and *no* pruning: at each granule it
 relates the set's representative instances pairwise, in canonical order
 (``(start, -end, series, symbol)``), and, if every pair has a relation,
-records a pattern occurrence. Each pattern's granules then get the
-Def. 3.17 season count, and only a frequent one a full verdict. Every
-granule set, the caller's and each pattern's support, is a bitset (bit
-``h`` set iff granule ``h`` is in).
+records a pattern occurrence. Each pattern's granules then get one
+Def. 3.17 check, and a frequent one keeps its verdict. Every granule
+set, the caller's and each pattern's support, is a bitset (bit ``h`` set
+iff granule ``h`` is in).
 
 :func:`mine_brute` feeds it every event subset up to ``max_k`` with the
 granules shared by its members, the AND of their bitsets. That is
@@ -28,13 +28,7 @@ from typing import Iterable
 
 from .events import EventInstance, relation
 from .hlh import Pattern
-from .seasonal import (
-    STPMParams,
-    SeasonalVerdict,
-    bit_positions,
-    count_seasons,
-    evaluate_seasonality,
-)
+from .seasonal import STPMParams, SeasonalVerdict, bit_positions, evaluate_seasonality
 from .sequences import DSeq
 
 
@@ -45,13 +39,6 @@ def representatives(dseq: DSeq) -> dict[str, dict[int, EventInstance]]:
         for inst in insts:
             rep.setdefault(inst.event, {}).setdefault(h, inst)
     return rep
-
-
-def _verdict(sup: int, params: STPMParams) -> SeasonalVerdict | None:
-    """Def. 3.17 verdict of a frequent support bitset, None for any other."""
-    if count_seasons(sup, params) >= params.min_season:
-        return evaluate_seasonality(sup, params)
-    return None
 
 
 def mine_patterns(
@@ -70,8 +57,8 @@ def mine_patterns(
     patterns: dict[Pattern, SeasonalVerdict] = {}
     for itemset, granules in itemsets:
         if len(itemset) == 1:
-            if verdict := _verdict(granules, params):
-                singles[itemset[0]] = verdict
+            if (v := evaluate_seasonality(granules, params)).frequent:
+                singles[itemset[0]] = v
             continue
         # per pair: both events' representatives and keys, and whether the
         # first event comes first on equal spans, by (series, symbol) as in
@@ -81,9 +68,9 @@ def mine_patterns(
             (rep[ev_i], rep[ev_j], ev_i, ev_j, (a.series, a.symbol) < (b.series, b.symbol))
             for (ev_i, a), (ev_j, b) in combinations(zip(itemset, firsts), 2)
         ]
-        # keyed by the triples in pair order, which name one pattern per
-        # itemset; sorted into the pattern only if frequent
-        per_pattern: dict[tuple, int] = {}
+        # granules keyed by the triples in pair order, which name one
+        # pattern per itemset; sorted into the pattern only if frequent
+        per_pattern: dict[tuple, list[int]] = {}
         for h in bit_positions(granules):
             triples = []
             for rep_i, rep_j, ev_i, ev_j, i_wins_tie in pairs:
@@ -99,11 +86,10 @@ def mine_patterns(
                     break
                 triples.append(triple)
             else:
-                key = tuple(triples)
-                per_pattern[key] = per_pattern.get(key, 0) | 1 << h
-        for triples, sup in per_pattern.items():
-            if verdict := _verdict(sup, params):
-                patterns[tuple(sorted(triples))] = verdict
+                per_pattern.setdefault(tuple(triples), []).append(h)
+        for triples, hs in per_pattern.items():
+            if (v := evaluate_seasonality(sum(1 << h for h in hs), params)).frequent:
+                patterns[tuple(sorted(triples))] = v
     return singles, patterns
 
 

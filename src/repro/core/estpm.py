@@ -12,8 +12,9 @@ Mining runs in two steps over a temporal sequence database:
    through the transitivity filter (Lemmas 3-4). k = 2 relates two
    events once per pair of shapes; k >= 3 ANDs the parent pattern's
    bitset with one 2-event pattern per new pair. Candidate patterns
-   finally undergo the seasonal check (Def. 3.17): seasons are counted
-   on the bitset, and only a frequent candidate gets a verdict.
+   finally undergo the seasonal check (Def. 3.17) once each: its verdict
+   holds the candidate's own bitset and season count, and is kept only
+   if frequent.
 
 Pruning toggles reproduce the paper's ablation (Figs. 15-16):
 ``apriori=False`` disables every maxSeason gate, ``transitivity=False``
@@ -34,7 +35,7 @@ from itertools import combinations
 
 from .events import relation
 from .hlh import HLH1, EventEntry, GroupEntry, HLHk, Pattern
-from .seasonal import STPMParams, SeasonalVerdict, count_seasons, evaluate_seasonality
+from .seasonal import STPMParams, SeasonalVerdict, evaluate_seasonality
 from .sequences import DSeq
 
 
@@ -164,8 +165,8 @@ def mine(
     }
     res.stats["n_candidate_events"] = len(hlh1)
     for ev, entry in hlh1.items():
-        if count_seasons(entry.sup, params) >= params.min_season:
-            res.singles[ev] = evaluate_seasonality(entry.sup, params)
+        if (v := evaluate_seasonality(entry.sup, params)).frequent:
+            res.singles[ev] = v
 
     if params.max_k < 2:
         return res
@@ -232,8 +233,8 @@ def mine(
         for g in hlh.groups.values():
             for pattern, sup in g.patterns.items():
                 n_candidates += 1
-                if count_seasons(sup, params) >= params.min_season:
-                    res.patterns[pattern] = evaluate_seasonality(sup, params)
+                if (v := evaluate_seasonality(sup, params)).frequent:
+                    res.patterns[pattern] = v
     res.stats["n_candidate_patterns"] = n_candidates
     res.stats["n_frequent_patterns"] = len(res.patterns)
     res.stats["n_frequent_singles"] = len(res.singles)

@@ -1,17 +1,17 @@
 """Seasonality (Defs. 3.14-3.17) and the maxSeason gate (Eq. 1).
 
 Granule positions here are 0-indexed ints. A support set is a bitset
-(bit ``h`` set iff granule ``h`` is in); a verdict holds its positions
-as a sorted tuple. ``maxPeriod``/``minDensity`` are absolute granule
-counts (use :func:`repro.core.granularity.pct_to_count` to convert the
-paper's percentage parameters).
+(bit ``h`` set iff granule ``h`` is in); a verdict holds that bitset and
+its season count, and decodes its positions only when they are read.
+``maxPeriod``/``minDensity`` are absolute granule counts (use
+:func:`repro.core.granularity.pct_to_count` to convert the paper's
+percentage parameters).
 
 :func:`count_seasons` is the one copy of Defs. 3.15-3.17: it counts the
-seasons of a bitset with a few big-int operations per near support set,
-so every miner counts each candidate's seasons first and calls
-:func:`evaluate_seasonality`, which builds the full verdict from the
-same loop, only for a frequent one. :attr:`STPMParams.min_support` is
-the one copy of Eq. 1's gate.
+seasons of a bitset with a few big-int operations per near support set.
+Every miner calls :func:`evaluate_seasonality` once per candidate, which
+is that count wrapped in a verdict, and keeps the frequent ones.
+:attr:`STPMParams.min_support` is the one copy of Eq. 1's gate.
 
 Season counting (Def. 3.17): the paper requires every pair of
 *consecutive* seasons to be within ``distInterval``. Its Algorithm 1
@@ -24,9 +24,8 @@ choice and the paper's (internally inconsistent) M:1>=N:1 worked example.
 """
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, replace
-from itertools import chain, compress, count
+from itertools import compress, count
 
 
 @dataclass(frozen=True)
@@ -73,33 +72,17 @@ class STPMParams:
         return self.min_season * self.min_density
 
 
-@dataclass(frozen=True)
-class SeasonalVerdict:
-    """Outcome of the full seasonal check for one event/pattern."""
-
-    sup: tuple[int, ...]
-    seasons: tuple[tuple[int, ...], ...]
-    n_seasons: int
-    frequent: bool
-
-
-#: one int object per granule position below 2048 (every dataset here
-#: has fewer granules), shared by every support decoded below, so the
-#: verdicts of a run do not each hold copies of the same positions
-_GRANULES = tuple(range(2048))
 _BIT = bytes.maketrans(b"01", b"\0\1")
 
 
 def bit_positions(bits: int) -> tuple[int, ...]:
     """Set positions of a bitset (bit ``h`` set iff granule ``h`` is in), ascending."""
-    # one selector byte per bit, bit 0 first; positions past the shared
-    # ones are counted on as fresh ints
-    selectors = bin(bits)[:1:-1].encode().translate(_BIT)
-    return tuple(compress(chain(_GRANULES, count(len(_GRANULES))), selectors))
+    # one selector byte per bit, bit 0 first
+    return tuple(compress(count(), bin(bits)[:1:-1].encode().translate(_BIT)))
 
 
 def count_seasons(
-    bits: int, params: STPMParams, seasons: list[tuple[int, int]] | None = None
+    bits: int, params: STPMParams, seasons: list[int] | None = None
 ) -> int:
     """Def. 3.17's season count of the support bitset ``bits``.
 
@@ -110,8 +93,7 @@ def count_seasons(
     granules is a season (Def. 3.16); its distance to the previous
     season, ``p(first of S) - p(last of S_prev)``, extends the
     distInterval chain or restarts it. Returns the longest chain;
-    ``seasons``, when given, receives each season's ``(first granule,
-    size)``.
+    ``seasons``, when given, receives each season's granules as a bitset.
     """
     if bits < 0:
         raise ValueError("a support bitset cannot be negative")
@@ -139,19 +121,37 @@ def count_seasons(
             best = chain
         last = held.bit_length() - 1
         if seasons is not None:
-            seasons.append((first, size))
+            seasons.append(held)
     return best
 
 
-def evaluate_seasonality(bits: int, params: STPMParams) -> SeasonalVerdict:
-    """Full Def. 3.17 check: seasons + distInterval chain + minSeason.
+@dataclass(frozen=True, slots=True)
+class SeasonalVerdict:
+    """Def. 3.17's verdict on one support bitset ``bits``.
 
-    ``bits`` is the support bitset. :func:`count_seasons` finds the
-    seasons; each is then the slice of the sorted positions that starts
-    at the season's first granule.
+    ``bits`` is the miner's own bitset, not a copy; the granule positions
+    of the support and of each season are decoded when read.
     """
-    found: list[tuple[int, int]] = []
-    n = count_seasons(bits, params, found)
-    s = bit_positions(bits)
-    seasons = tuple(s[(i := bisect_left(s, first)) : i + size] for first, size in found)
-    return SeasonalVerdict(sup=s, seasons=seasons, n_seasons=n, frequent=n >= params.min_season)
+
+    bits: int
+    n_seasons: int
+    params: STPMParams
+
+    @property
+    def sup(self) -> tuple[int, ...]:
+        return bit_positions(self.bits)
+
+    @property
+    def seasons(self) -> tuple[tuple[int, ...], ...]:
+        found: list[int] = []
+        count_seasons(self.bits, self.params, found)
+        return tuple(map(bit_positions, found))
+
+    @property
+    def frequent(self) -> bool:
+        return self.n_seasons >= self.params.min_season
+
+
+def evaluate_seasonality(bits: int, params: STPMParams) -> SeasonalVerdict:
+    """Full Def. 3.17 check: seasons + distInterval chain + minSeason."""
+    return SeasonalVerdict(bits, count_seasons(bits, params), params)

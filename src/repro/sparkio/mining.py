@@ -44,14 +44,14 @@ def _result_rows(group: int, res: MiningResult) -> Iterable[dict]:
     for ev, v in sorted(res.singles.items()):
         yield dict(
             group=group, kind="single", pattern=ev, k=1,
-            sup_size=len(v.sup), n_seasons=v.n_seasons,
+            sup_size=v.bits.bit_count(), n_seasons=v.n_seasons,
             season_starts=json.dumps([s[0] for s in v.seasons]),
         )
     for pattern, v in sorted(res.patterns.items()):
         yield dict(
             group=group, kind="pattern", pattern=render_pattern(pattern),
             k=len({ev for _, first, second in pattern for ev in (first, second)}),
-            sup_size=len(v.sup), n_seasons=v.n_seasons,
+            sup_size=v.bits.bit_count(), n_seasons=v.n_seasons,
             season_starts=json.dumps([s[0] for s in v.seasons]),
         )
 

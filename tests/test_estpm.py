@@ -192,6 +192,30 @@ def test_k3_patterns_have_three_triples_and_subpatterns():
     assert set(k2) | set(k3) == set(res.patterns)
 
 
+def test_verdicts_hold_the_miners_own_bitsets():
+    """A frequent pattern's verdict holds its HLH_k bitset, and a frequent
+    single's its HLH_1 support: the same int objects, not decoded copies."""
+    seasonal = STPMParams(
+        max_period=2, min_density=3, dist_min=4, dist_max=12, min_season=3, max_k=3
+    )
+    for dseq, params in (
+        (example_dseq(), EXAMPLE_PARAMS),
+        (build_dseq(seasonal_symbolic(0), m=4), seasonal),
+    ):
+        res = mine(dseq, params)
+        candidates = {
+            p: bits
+            for hlh in res.hlhk.values()
+            for g in hlh.groups.values()
+            for p, bits in g.patterns.items()
+        }
+        assert any(len(p) == 3 for p in res.patterns) and res.singles
+        for p, v in res.patterns.items():
+            assert v.bits is candidates[p]
+        for e, v in res.singles.items():
+            assert v.bits is res.hlh1[e].sup
+
+
 def test_min_season_monotone():
     """Raising minSeason can only shrink the frequent set (Tables IX-X trend)."""
     dseq = example_dseq()
@@ -336,7 +360,7 @@ def test_estpm_never_imports_numpy():
 
 def test_aps_and_brute_never_import_numpy():
     """APS-growth and brute force run with numpy and pandas unimportable
-    too: their seasonal check is ints and ``bisect``, so a peak-memory
+    too: their seasonal check is int operations only, so a peak-memory
     measurement of APS-growth never includes numpy's first use."""
     run_without_numpy(
         """
