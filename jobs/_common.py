@@ -13,7 +13,8 @@ from __future__ import annotations
 import os
 import sys
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
+sys.path.insert(0, SRC)
 
 
 def get_spark(app: str):
@@ -26,6 +27,8 @@ def get_spark(app: str):
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
         .config("spark.ui.enabled", "false")
+        # the Python workers import repro too (applyInPandas tasks)
+        .config("spark.executorEnv.PYTHONPATH", SRC)
         .getOrCreate()
     )
 

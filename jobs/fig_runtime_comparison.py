@@ -6,7 +6,7 @@ def main() -> None:
     from repro.experiments.tables import runtime_comparison
 
     for ds in ("re", "sc", "inf", "hfm"):
-        emit(runtime_comparison(ds, repeats=3), f"fig_runtime_{ds}")
+        emit(runtime_comparison(ds, repeats=21), f"fig_runtime_{ds}")
 
 
 if __name__ == "__main__":

@@ -29,7 +29,7 @@ def main() -> None:
         emit(accuracy_synthetic_table(ds), f"table12_accuracy_{ds}")
     emit(epsilon_table(), "table19_epsilon")
     for ds in ("re", "sc", "inf", "hfm"):
-        emit(runtime_comparison(ds, repeats=3), f"fig_runtime_{ds}")
+        emit(runtime_comparison(ds, repeats=21), f"fig_runtime_{ds}")
     for ds in ("re", "inf"):
         emit(pruning_ablation(ds), f"fig_pruning_{ds}")
 

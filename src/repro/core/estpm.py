@@ -4,11 +4,15 @@ Mining runs in two steps over a temporal sequence database:
 
 1. *Seasonal single event mining* — one scan of D_SEQ builds HLH_1 with
    the support bitset of every event and the granules where its
-   representative instance has each shape; the maxSeason gate
-   (Apriori-like pruning, Lemmas 1-2) keeps only candidate events.
+   representative instance has each shape; the maxSeason gates
+   (Apriori-like pruning, Lemmas 1-2: Eq. 1's popcount, then
+   :func:`~repro.core.seasonal.can_hold_seasons`, which also needs the
+   support's blocks of minDensity granules to lie dist_min apart) keep
+   only candidate events.
 2. *Seasonal k-event pattern mining* — candidate k-event groups come
    from extending candidate (k-1)-event groups with candidate single
-   events (support bitsets AND, maxSeason gates), optionally passed
+   events (support bitsets AND, maxSeason gates; a k >= 3 group's
+   support also passes the distInterval walk), optionally passed
    through the transitivity filter (Lemmas 3-4). k = 2 relates two
    events once per pair of shapes; k >= 3 ANDs the parent pattern's
    bitset with one 2-event pattern per new pair. Candidate patterns
@@ -17,7 +21,8 @@ Mining runs in two steps over a temporal sequence database:
    if frequent.
 
 Pruning toggles reproduce the paper's ablation (Figs. 15-16):
-``apriori=False`` disables every maxSeason gate, ``transitivity=False``
+``apriori=False`` disables every maxSeason gate (Eq. 1 and the
+distInterval walk; the walk goes beyond the paper), ``transitivity=False``
 disables FilteredF1 only. The Lemma-4 pair check is always on, because
 it is the same lookup as the iterative check: HLH_2 holds a pair only
 if the pair has a candidate 2-event pattern. All four combinations
@@ -35,7 +40,7 @@ from itertools import combinations
 
 from .events import relation
 from .hlh import HLH1, EventEntry, GroupEntry, HLHk, Pattern
-from .seasonal import STPMParams, SeasonalVerdict, evaluate_seasonality
+from .seasonal import STPMParams, SeasonalVerdict, can_hold_seasons, evaluate_seasonality
 from .sequences import DSeq
 
 
@@ -157,13 +162,19 @@ def mine(
     # ---- Step 2.1: seasonal single events (Alg. 1 lines 1-9) ----
     full = build_event_supports(dseq)
     res.stats["n_events_total"] = len(full)
-    hlh1 = res.hlh1 = {
-        ev: entry
-        for ev, entry in full.items()
-        if (restrict_series is None or entry.name[0] in restrict_series)
-        and entry.sup.bit_count() >= floor
-    }
+    hlh1 = res.hlh1 = {}
+    chain_pruned = 0
+    for ev, entry in full.items():
+        if restrict_series is not None and entry.name[0] not in restrict_series:
+            continue
+        if entry.sup.bit_count() < floor:
+            continue
+        if apriori and not can_hold_seasons(entry.sup, params):
+            chain_pruned += 1
+            continue
+        hlh1[ev] = entry
     res.stats["n_candidate_events"] = len(hlh1)
+    res.stats["n_chain_pruned_events"] = chain_pruned
     for ev, entry in hlh1.items():
         if (v := evaluate_seasonality(entry.sup, params)).frequent:
             res.singles[ev] = v
@@ -203,6 +214,7 @@ def mine(
         if not prev.groups:
             break
         cur = HLHk()
+        chain_pruned = 0
         filtered_f1 = (
             sorted(prev.events_in_patterns() & set(hlh1))
             if transitivity
@@ -220,11 +232,15 @@ def mine(
                 sup = g.sup & hlh1[ev].sup
                 if sup.bit_count() < floor:
                     continue
+                if apriori and not can_hold_seasons(sup, params):
+                    chain_pruned += 1
+                    continue
                 new = _extend_group(g, ev, pairs, sup, floor)
                 if new.patterns:
                     cur.groups[new.events] = new
         res.hlhk[k] = cur
         res.stats[f"n_candidate_groups_k{k}"] = len(cur)
+        res.stats[f"n_chain_pruned_groups_k{k}"] = chain_pruned
         prev = cur
 
     # ---- final seasonal check over all candidate patterns ----

@@ -1,4 +1,4 @@
-"""Seasonality (Defs. 3.14-3.17) and the maxSeason gate (Eq. 1).
+"""Seasonality (Defs. 3.14-3.17) and the maxSeason gates (Eq. 1 and a tighter one).
 
 Granule positions here are 0-indexed ints. A support set is a bitset
 (bit ``h`` set iff granule ``h`` is in); a verdict holds that bitset and
@@ -12,6 +12,12 @@ seasons of a bitset with a few big-int operations per near support set.
 Every miner calls :func:`evaluate_seasonality` once per candidate, which
 is that count wrapped in a verdict, and keeps the frequent ones.
 :attr:`STPMParams.min_support` is the one copy of Eq. 1's gate.
+:func:`can_hold_seasons` tightens it with distInterval's lower end
+(beyond the paper): a greedy walk over the bitset that counts blocks of
+minDensity granules spaced ``max(dist_min, 1)`` apart. It passes every
+support Def. 3.17 finds frequent and is anti-monotone, so it prunes as
+losslessly as Lemmas 1-2; DESIGN.md ("The maxSeason gate, with distInterval") has the
+argument.
 
 Season counting (Def. 3.17): the paper requires every pair of
 *consecutive* seasons to be within ``distInterval``. Its Algorithm 1
@@ -70,6 +76,29 @@ class STPMParams:
         no support set smaller than this can hold minSeason seasons.
         """
         return self.min_season * self.min_density
+
+
+def can_hold_seasons(bits: int, params: STPMParams) -> bool:
+    """The maxSeason gate with distInterval's lower end: a bound on Def. 3.17.
+
+    Walks ``bits`` greedily: a block is the earliest minDensity set bits,
+    and the next block starts at ``last + max(dist_min, 1)``. True iff
+    minSeason blocks fit. Each block ends no later than the matching
+    season of any distInterval chain (seasons are disjoint and at least
+    dist_min apart), so a support with ``count_seasons >= minSeason``
+    passes; a chain of blocks in a subset is one in the superset, so the
+    gate is anti-monotone like Eq. 1, which it implies. It ignores
+    maxPeriod and dist_max.
+    """
+    need, step = params.min_density - 1, max(params.dist_min, 1)
+    for _ in range(params.min_season):
+        for _ in range(need):
+            bits &= bits - 1
+        if not bits:
+            return False
+        # the next block starts max(dist_min, 1) after this one's last granule
+        bits >>= (bits & -bits).bit_length() - 1 + step
+    return True
 
 
 _BIT = bytes.maketrans(b"01", b"\0\1")

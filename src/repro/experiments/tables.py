@@ -267,28 +267,38 @@ def epsilon_table(
 
 
 # --------------------------------------------------- runtime comparison (Figs)
+def _median_times(runners: dict, repeats: int) -> dict[str, float]:
+    """Median wall time of each runner over ``repeats`` rounds.
+
+    Every round calls each runner once, in alternating order (reversed
+    every other round), so drift in the host's speed reaches all of them
+    alike.
+    """
+    import statistics
+    import time
+
+    times: dict[str, list[float]] = {name: [] for name in runners}
+    order = list(runners)
+    for r in range(repeats):
+        for name in order if r % 2 == 0 else reversed(order):
+            t0 = time.perf_counter()
+            runners[name]()
+            times[name].append(time.perf_counter() - t0)
+    return {name: statistics.median(ts) for name, ts in times.items()}
+
+
 def runtime_comparison(
-    dataset: str = "inf", *, repeats: int = 1, max_period_pct=0.4,
+    dataset: str = "inf", *, repeats: int = 5, max_period_pct=0.4,
     min_density_pct=0.75, min_season=8, max_k: int = 3,
 ) -> pd.DataFrame:
     """Wall-clock + peak-memory comparison of A-STPM / E-STPM / APS-growth.
 
     Reproduces the *shape* of Figs. 7-10: A-STPM fastest and lightest,
     E-STPM faster/lighter than the baseline. Every time, the MI step's
-    too, is the best of ``repeats`` untraced calls; memory is the
-    tracemalloc peak of one more call.
+    too, is the median of ``repeats`` rounds of :func:`_median_times`;
+    memory is the tracemalloc peak of one more call.
     """
-    import time
     import tracemalloc
-
-    def best_of(fn):
-        """(best time of ``repeats`` calls of ``fn``, the last call's value)."""
-        best = float("inf")
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            value = fn()
-            best = min(best, time.perf_counter() - t0)
-        return best, value
 
     p = profile(dataset)
     symbols, dseq = _dataset(p)
@@ -298,25 +308,26 @@ def runtime_comparison(
     )
     # MI is computed once per dataset and reported as its own component,
     # exactly as the paper's stacked A-STPM bars do (Figs. 13-14)
-    mi_seconds, nmis = best_of(lambda: pair_min_nmis(symbols))
+    nmis = pair_min_nmis(symbols)
     runners = {
+        "MI": lambda: pair_min_nmis(symbols),
         "A-STPM": lambda: mine_approx(symbols, dseq, params, pair_nmis=nmis),
         "E-STPM": lambda: mine(dseq, params),
         "APS-growth": lambda: mine_aps(dseq, params),
     }
+    seconds = _median_times(runners, repeats)
     rows = []
-    for name, fn in runners.items():
-        best_t, _ = best_of(fn)
+    for name in list(runners)[1:]:
         # memory in a call of its own: tracemalloc slows every allocation,
         # so timed under it the allocation-heavy miners would look slower
         tracemalloc.start()
-        fn()
+        runners[name]()
         _, peak_mem = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         rows.append(
             dict(
-                method=name, seconds=round(best_t, 3),
-                mi_seconds=round(mi_seconds, 3) if name == "A-STPM" else 0.0,
+                method=name, seconds=round(seconds[name], 4),
+                mi_seconds=round(seconds["MI"], 4) if name == "A-STPM" else 0.0,
                 peak_mb=round(peak_mem / 2**20, 1),
             )
         )
@@ -328,9 +339,10 @@ def pruning_ablation(
     dataset: str = "inf", *, max_period_pct=0.4, min_density_pct=0.75,
     min_season=8, max_k: int = 3,
 ) -> pd.DataFrame:
-    """Runtime of E-STPM pruning variants (NoPrune/Apriori/Trans/All)."""
-    import time
+    """Runtime of E-STPM pruning variants (NoPrune/Apriori/Trans/All).
 
+    Each time is the median of 21 rounds of :func:`_median_times`.
+    """
     p = profile(dataset)
     _, dseq = _dataset(p)
     params = params_for(
@@ -343,15 +355,18 @@ def pruning_ablation(
         "Trans": dict(apriori=False, transitivity=True),
         "All": dict(apriori=True, transitivity=True),
     }
-    rows = []
-    for name, kw in variants.items():
-        t0 = time.perf_counter()
-        res = mine(dseq, params, **kw)
-        rows.append(
+    results = {name: mine(dseq, params, **kw) for name, kw in variants.items()}
+    seconds = _median_times(
+        {name: lambda kw=kw: mine(dseq, params, **kw) for name, kw in variants.items()},
+        repeats=21,
+    )
+    return pd.DataFrame(
+        [
             dict(
-                variant=name, seconds=round(time.perf_counter() - t0, 3),
+                variant=name, seconds=round(seconds[name], 4),
                 n_patterns=len(res.patterns),
                 n_candidates=res.stats["n_candidate_patterns"],
             )
-        )
-    return pd.DataFrame(rows)
+            for name, res in results.items()
+        ]
+    )

@@ -167,6 +167,33 @@ def test_pruning_reduces_work():
     )
 
 
+def test_chain_gate_drops_bunched_support():
+    """An event whose support is large enough for Eq. 1 but bunched too
+    closely for minSeason spaced seasons leaves HLH_1 under the Apriori
+    gate, k >= 3 groups are dropped the same way, and every pruning
+    config still equals brute force."""
+    sym = seasonal_symbolic(3)
+    # "B:1" holds granules 0-9: 10 >= min_support 9, but blocks of 3
+    # spaced dist_min 4 apart fit only twice (0-2, 6-8)
+    sym["B"] = ["1" if h < 10 and t in (1, 2) else "0" for h in range(60) for t in range(4)]
+    dseq = build_dseq(sym, m=4)
+    params = STPMParams(
+        max_period=2, min_density=3, dist_min=4, dist_max=12, min_season=3, max_k=3
+    )
+    expect = verdicts(*mine_brute(dseq, params))
+    results = {}
+    for cfg in PRUNE_CONFIGS:
+        res = results[cfg.id] = mine(dseq, params, **cfg.values[0])
+        assert verdicts(res.singles, res.patterns) == expect
+    assert "B:1" in results["NoPrune"].hlh1 and "B:1" not in results["All"].hlh1
+    for name in ("Apriori", "All"):
+        assert results[name].stats["n_chain_pruned_events"] == 1
+        assert results[name].stats["n_chain_pruned_groups_k3"] > 0
+    for name in ("NoPrune", "Trans"):
+        assert results[name].stats["n_chain_pruned_events"] == 0
+        assert results[name].stats["n_chain_pruned_groups_k3"] == 0
+
+
 def test_max_k_limits_pattern_length():
     dseq = example_dseq()
     res = mine(dseq, EXAMPLE_PARAMS.with_(max_k=2))

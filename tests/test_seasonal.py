@@ -1,6 +1,7 @@
 """Seasonality: near support sets, seasons, the distInterval chain and the
 maxSeason gate (Defs. 3.14-3.17, Eq. 1), all through the one check
-:func:`evaluate_seasonality` and :attr:`STPMParams.min_support`. Supports
+:func:`evaluate_seasonality`, :attr:`STPMParams.min_support` and the
+distInterval-aware gate :func:`can_hold_seasons`. Supports
 are written as granule positions and handed over as bitsets by
 :func:`to_bits`."""
 from itertools import accumulate, groupby
@@ -9,7 +10,13 @@ from operator import itemgetter
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.core.seasonal import STPMParams, bit_positions, count_seasons, evaluate_seasonality
+from repro.core.seasonal import (
+    STPMParams,
+    bit_positions,
+    can_hold_seasons,
+    count_seasons,
+    evaluate_seasonality,
+)
 
 P = STPMParams(max_period=2, min_density=3, dist_min=4, dist_max=10, min_season=2)
 
@@ -205,6 +212,67 @@ def test_evaluate_matches_def_3_17_oracle(sup, mp, md, dmin, width, ms):
     v = evaluate_seasonality(bits, params)
     assert (v.sup, v.seasons, v.n_seasons, v.frequent) == expect
     assert count_seasons(bits, params) == n
+
+
+def greedy_blocks(sup, params):
+    """The gate restated on positions: blocks of minDensity granules, each
+    starting at least ``max(dist_min, 1)`` after the previous one ends."""
+    blocks, size, start = 0, 0, 0
+    for p in sorted(sup):
+        if p < start:
+            continue
+        size += 1
+        if size == params.min_density:
+            blocks, size, start = blocks + 1, 0, p + max(params.dist_min, 1)
+    return blocks
+
+
+GATE_CASES = (
+    st.sets(st.integers(0, 300), max_size=150),
+    st.sets(st.integers(0, 300), max_size=150),
+    st.integers(1, 12),
+    st.integers(1, 6),
+    st.integers(0, 30),
+    st.integers(0, 30),
+    st.integers(1, 8),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(*GATE_CASES)
+# seasons exactly dist_min apart (kills a skip to last + dist_min + 1)
+@example({0, 2}, set(), 1, 1, 2, 0, 2)
+# exactly minSeason seasons of exactly minDensity granules (kills blocks
+# of minDensity + 1 and a gate asking for minSeason + 1 blocks)
+@example({0, 1, 2, 10, 11, 12}, set(), 1, 3, 5, 10, 2)
+# dist_min 0, minDensity 1: adjacent granules are two seasons
+@example({0, 1, 2}, {0, 1}, 1, 1, 0, 0, 3)
+def test_chain_gate_bounds_def_3_17_and_is_antimonotone(sup, mask, mp, md, dmin, width, ms):
+    """A support with minSeason seasons in a distInterval chain passes the
+    gate, and a superset passes whenever a subset does (Lemmas 1-2)."""
+    params = STPMParams(
+        max_period=mp, min_density=md, dist_min=dmin, dist_max=dmin + width, min_season=ms
+    )
+    bits = to_bits(sup)
+    if count_seasons(bits, params) >= ms:
+        assert can_hold_seasons(bits, params)
+    if can_hold_seasons(bits & to_bits(mask), params):
+        assert can_hold_seasons(bits, params)
+    if can_hold_seasons(bits, params):
+        assert len(sup) >= params.min_support  # at least as strict as Eq. 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(*GATE_CASES)
+# dist_min 0: a granule counts in one block only
+@example({5}, set(), 1, 1, 0, 0, 2)
+def test_chain_gate_is_the_greedy_walk(sup, mask, mp, md, dmin, width, ms):
+    """The bitset walk counts the same blocks as the walk over positions."""
+    params = STPMParams(
+        max_period=mp, min_density=md, dist_min=dmin, dist_max=dmin + width, min_season=ms
+    )
+    for s in (sup, sup & mask):
+        assert can_hold_seasons(to_bits(s), params) == (greedy_blocks(s, params) >= ms)
 
 
 class TestParams:
