@@ -23,7 +23,11 @@ from .psgrowth import ps_growth
 def mine_aps(dseq: DSeq, params: STPMParams) -> MiningResult:
     """Run the APS-growth baseline; returns an E-STPM-shaped result."""
     res = MiningResult()
-    transactions = {h: [inst.event for inst in insts] for h, insts in dseq.rows.items()}
+    rep = representatives(dseq)
+    transactions: dict[int, list[str]] = {}
+    for ev, granules in rep.items():
+        for h in granules:
+            transactions.setdefault(h, []).append(ev)
     itemsets = ps_growth(
         transactions,
         min_season=params.min_season,
@@ -31,7 +35,7 @@ def mine_aps(dseq: DSeq, params: STPMParams) -> MiningResult:
         max_k=params.max_k,
     )
     res.stats["n_recurring_itemsets"] = len(itemsets)
-    res.singles, res.patterns = mine_patterns(representatives(dseq), itemsets.items(), params)
+    res.singles, res.patterns = mine_patterns(rep, itemsets.items(), params)
     res.stats["n_frequent_patterns"] = len(res.patterns)
     res.stats["n_frequent_singles"] = len(res.singles)
     return res

@@ -26,23 +26,33 @@ from itertools import combinations
 from operator import and_
 from typing import Iterable
 
-from .events import EventInstance, relation
+from .events import relation
 from .hlh import Pattern
 from .seasonal import STPMParams, SeasonalVerdict, bit_positions, evaluate_seasonality
-from .sequences import DSeq
+from .sequences import DSeq, first_runs
 
 
-def representatives(dseq: DSeq) -> dict[str, dict[int, EventInstance]]:
-    """Event -> granule -> the canonically first instance of the event there."""
-    rep: dict[str, dict[int, EventInstance]] = {}
-    for h, insts in dseq.rows.items():
-        for inst in insts:
-            rep.setdefault(inst.event, {}).setdefault(h, inst)
+#: an event's representative in one granule: ``(start, end, series,
+#: symbol)`` of its canonically first instance there, ``start`` and
+#: ``end`` as offsets inside the granule
+Rep = tuple[int, int, str, str]
+
+
+def representatives(dseq: DSeq) -> dict[str, dict[int, Rep]]:
+    """Event -> granule -> the event's representative there, read from
+    D_SEQ's signatures (:func:`repro.core.sequences.first_runs`)."""
+    rep: dict[str, dict[int, Rep]] = {}
+    for series, sigs in dseq.series.items():
+        for sig, bits in sigs.items():
+            granules = bit_positions(bits)
+            for sym, (start, end) in first_runs(sig).items():
+                by_granule = rep.setdefault(f"{series}:{sym}", {})
+                by_granule.update(dict.fromkeys(granules, (start, end, series, sym)))
     return rep
 
 
 def mine_patterns(
-    rep: dict[str, dict[int, EventInstance]],
+    rep: dict[str, dict[int, Rep]],
     itemsets: Iterable[tuple[tuple[str, ...], int]],
     params: STPMParams,
 ) -> tuple[dict[str, SeasonalVerdict], dict[Pattern, SeasonalVerdict]]:
@@ -65,7 +75,7 @@ def mine_patterns(
         # canonical_sort_key (not by key string: "x40:1" < "x4:1")
         firsts = [next(iter(rep[e].values())) for e in itemset]
         pairs = [
-            (rep[ev_i], rep[ev_j], ev_i, ev_j, (a.series, a.symbol) < (b.series, b.symbol))
+            (rep[ev_i], rep[ev_j], ev_i, ev_j, a[2:] < b[2:])
             for (ev_i, a), (ev_j, b) in combinations(zip(itemset, firsts), 2)
         ]
         # granules keyed by the triples in pair order, which name one
@@ -74,8 +84,8 @@ def mine_patterns(
         for h in bit_positions(granules):
             triples = []
             for rep_i, rep_j, ev_i, ev_j, i_wins_tie in pairs:
-                a, b = rep_i[h], rep_j[h]
-                sa, ea, sb, eb = a.start, a.end, b.start, b.end
+                sa, ea, _, _ = rep_i[h]
+                sb, eb, _, _ = rep_j[h]
                 if sa < sb or sa == sb and (ea > eb or ea == eb and i_wins_tie):
                     rel = relation(sa, ea, sb, eb, eps, d_o)
                     triple = (rel, ev_i, ev_j)

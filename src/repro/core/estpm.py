@@ -2,10 +2,10 @@
 
 Mining runs in two steps over a temporal sequence database:
 
-1. *Seasonal single event mining* — one scan of D_SEQ builds HLH_1 with
-   the support bitset of every event and the granules where its
-   representative instance has each shape; the maxSeason gates
-   (Apriori-like pruning, Lemmas 1-2: Eq. 1's popcount, then
+1. *Seasonal single event mining* — one pass over D_SEQ's granule
+   signatures builds HLH_1 with the support bitset of every event and
+   the granules where its representative instance has each shape; the
+   maxSeason gates (Apriori-like pruning, Lemmas 1-2: Eq. 1's popcount, then
    :func:`~repro.core.seasonal.can_hold_seasons`, which also needs the
    support's blocks of minDensity granules to lie dist_min apart) keep
    only candidate events.
@@ -41,7 +41,7 @@ from itertools import combinations
 from .events import relation
 from .hlh import HLH1, EventEntry, GroupEntry, HLHk, Pattern
 from .seasonal import STPMParams, SeasonalVerdict, can_hold_seasons, evaluate_seasonality
-from .sequences import DSeq
+from .sequences import DSeq, first_runs
 
 
 @dataclass
@@ -56,19 +56,19 @@ class MiningResult:
 
 
 def build_event_supports(dseq: DSeq) -> HLH1:
-    """One scan of D_SEQ: support bitset + representative shapes per event."""
+    """One pass over D_SEQ's signatures: support bitset + representative
+    shapes per event. An event's first run in a signature is its
+    representative in the signature's granules, and that run's offsets
+    are its shape there."""
     events: HLH1 = {}
-    for h, insts in dseq.rows.items():
-        bit, origin = 1 << h, h * dseq.m
-        for inst in insts:  # canonical order: an event's first is its representative
-            e = events.get(ev := inst.event)
-            if e is None:
-                e = events[ev] = EventEntry(ev, (inst.series, inst.symbol))
-            elif e.sup & bit:
-                continue
-            e.sup |= bit
-            shape = (inst.start - origin, inst.end - origin)
-            e.shapes[shape] = e.shapes.get(shape, 0) | bit
+    for series, sigs in dseq.series.items():
+        for sig, bits in sigs.items():
+            for sym, shape in first_runs(sig).items():
+                e = events.get(ev := f"{series}:{sym}")
+                if e is None:
+                    e = events[ev] = EventEntry(ev, (series, sym))
+                e.sup |= bits
+                e.shapes[shape] = e.shapes.get(shape, 0) | bits
     return events
 
 

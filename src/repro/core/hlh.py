@@ -13,7 +13,10 @@ representative instance per granule, the representative's *shape* —
 its ``(start, end)`` offset inside its granule — mapped to the bitset
 of granules where it has that shape. Table III compares only
 differences of endpoints, so two events' relation in a granule follows
-from their two shapes alone (DESIGN.md, "Bitset HLH").
+from their two shapes alone (DESIGN.md, "Bitset HLH"). Both come
+straight from D_SEQ's granule signatures
+(:mod:`repro.core.sequences`): an event's first run in a signature is
+its representative in every granule holding the signature.
 
 ``HLHk`` plays the role of EH_k + PH_k + GH_k: per candidate k-event
 group it keeps the group support bitset (EH_k) and per candidate pattern

@@ -98,7 +98,7 @@ def table05_characteristics(spark=None) -> pd.DataFrame:
                     dataset=name, n_seq=dseq.n_granules,
                     n_series=len(dseq.series_names()),
                     n_events=len(dseq.event_names()),
-                    ins_per_seq=round(dseq.n_instances() / max(1, len(dseq.rows)), 1),
+                    ins_per_seq=round(dseq.n_instances() / max(1, dseq.occupied().bit_count()), 1),
                 )
             )
     return pd.DataFrame(rows)

@@ -1,7 +1,9 @@
 """Sequence mapping, run-length instance extraction, granularity arithmetic."""
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from repro.core.brute import representatives
+from repro.core.estpm import build_event_supports
 from repro.core.granularity import pct_to_count
 from repro.core.sequences import (
     build_dseq,
@@ -9,6 +11,8 @@ from repro.core.sequences import (
     runs,
 )
 from repro.core.events import EventInstance
+
+from . import dseq_oracle as oracle
 
 
 class TestGranularity:
@@ -79,3 +83,35 @@ class TestBuildDseq:
             build_dseq_from_instances(
                 [EventInstance(2, 3, "A", "1")], m=3, n_granules=2
             )
+
+
+@st.composite
+def symbolic_inputs(draw):
+    """Ragged series over a 2-5-symbol alphabet with missing instants,
+    an ``m`` in 1..6 and a random set of ignored symbols."""
+    alphabet = "abcde"[: draw(st.integers(2, 5))]
+    names = draw(st.lists(st.sampled_from(["A", "B", "x4", "x40"]), min_size=1, unique=True))
+    instant = st.one_of(st.sampled_from(alphabet), st.none())
+    symbolic = {name: draw(st.lists(instant, max_size=40)) for name in names}
+    ignore = frozenset(draw(st.sets(st.sampled_from(alphabet))))
+    return symbolic, draw(st.integers(1, 6)), ignore
+
+
+@settings(max_examples=300, deadline=None)
+@given(symbolic_inputs())
+def test_signatures_match_per_instance_oracle(case):
+    """The signature store gives the per-instance oracle's rows, counts,
+    HLH_1 and representatives, and the instance seam rebuilds it."""
+    symbolic, m, ignore = case
+    d = build_dseq(symbolic, m, ignore_symbols=ignore)
+    insts = oracle.instances(symbolic, m, ignore)
+    rows = oracle.rows(insts, m)
+    assert d.rows == rows
+    assert d.n_instances() == len(insts)
+    assert d.occupied() == sum(1 << h for h in rows)
+    assert d.event_names() == sorted({i.event for i in insts})
+    assert d.series_names() == sorted({i.series for i in insts})
+    hlh1 = {ev: (e.name, e.sup, e.shapes) for ev, e in build_event_supports(d).items()}
+    assert hlh1 == oracle.event_supports(rows, m)
+    assert representatives(d) == oracle.representatives(rows, m)
+    assert build_dseq_from_instances(insts, m, d.n_granules) == d
